@@ -55,6 +55,15 @@ pub enum WeaveError {
     },
     /// The page has no root element to weave into.
     EmptyPage(String),
+    /// Advice targets a join point that an earlier `ReplaceContent` (of a
+    /// higher-precedence or earlier aspect) detached from the page, so
+    /// there is no place left in the document to apply it.
+    DetachedJoinPoint {
+        /// The page being woven.
+        page: String,
+        /// The aspect whose advice found its join point detached.
+        aspect: String,
+    },
 }
 
 impl fmt::Display for WeaveError {
@@ -66,6 +75,10 @@ impl fmt::Display for WeaveError {
                 aspects.0, aspects.1
             ),
             WeaveError::EmptyPage(p) => write!(f, "page {p:?} has no root element"),
+            WeaveError::DetachedJoinPoint { page, aspect } => write!(
+                f,
+                "aspect {aspect:?} advises an element of page {page:?} that an earlier replace-content detached"
+            ),
         }
     }
 }

@@ -135,7 +135,9 @@ impl Weaver {
     ///
     /// * [`WeaveError::EmptyPage`] when the page has no root element;
     /// * [`WeaveError::ReplaceConflict`] when two *different* aspects with
-    ///   equal precedence both replace the same element's content.
+    ///   equal precedence both replace the same element's content;
+    /// * [`WeaveError::DetachedJoinPoint`] when advice targets an element
+    ///   that an earlier replace-content removed from the page.
     pub fn weave_page(
         &self,
         page: &str,
@@ -203,6 +205,8 @@ impl Weaver {
                 }
             }
         }
+        // The woven page may live on in retained epochs.
+        out.release_headroom();
         Ok((out, report))
     }
     /// Compiles the weaver's pointcuts into a reusable
@@ -254,6 +258,15 @@ pub(crate) fn apply_advice(
     page: &str,
 ) -> Result<(), WeaveError> {
     let element = jp.element;
+    // Join points are matched on the input page, where every element is
+    // attached; only a `ReplaceContent` applied earlier to this output can
+    // have detached one since.
+    if !book.replaced_by.is_empty() && !is_attached(out, element) {
+        return Err(WeaveError::DetachedJoinPoint {
+            page: page.to_string(),
+            aspect: aspects[aspect_index].name().to_string(),
+        });
+    }
     let new_nodes: Vec<NodeId> = match realized {
         Realized::Elements(builders) => builders.iter().map(|b| b.build_detached(out)).collect(),
         Realized::Text(t) => vec![out.create_detached_text(t)],
@@ -272,9 +285,11 @@ pub(crate) fn apply_advice(
             }
         }
         AdvicePosition::Before => {
+            // Attached (checked above), so the element has a parent and is
+            // one of its children.
             let parent = out
                 .parent(element)
-                .expect("join-point elements always have a parent");
+                .expect("attached elements have a parent");
             for n in new_nodes {
                 let idx = out
                     .children(parent)
@@ -287,7 +302,7 @@ pub(crate) fn apply_advice(
         AdvicePosition::After => {
             let parent = out
                 .parent(element)
-                .expect("join-point elements always have a parent");
+                .expect("attached elements have a parent");
             let offset = book.after_counts.entry(element).or_insert(0);
             for n in new_nodes {
                 let idx = out
@@ -324,6 +339,19 @@ pub(crate) fn apply_advice(
         }
     }
     Ok(())
+}
+
+/// `true` when `node` still hangs, through its ancestors, off the
+/// document node of `doc`.
+fn is_attached(doc: &Document, mut node: NodeId) -> bool {
+    let top = doc.document_node();
+    while node != top {
+        match doc.parent(node) {
+            Some(parent) => node = parent,
+            None => return false,
+        }
+    }
+    true
 }
 
 impl Weaver {
@@ -491,6 +519,38 @@ mod tests {
             w.weave_page("p.html", &page()),
             Err(WeaveError::ReplaceConflict { .. })
         ));
+    }
+
+    #[test]
+    fn advice_on_a_detached_join_point_is_a_typed_error() {
+        // A replaces the <p>'s content; B then targets the <b> that the
+        // replace detached. Both weavers refuse with the same typed error.
+        let doc = Document::parse("<html><body><p>x <b>bold</b> y</p></body></html>").unwrap();
+        let a = Aspect::new("a").rule(
+            Pointcut::parse(r#"element("p")"#).unwrap(),
+            AdvicePosition::ReplaceContent,
+            vec![ElementBuilder::new("em")],
+        );
+        for position in [
+            AdvicePosition::Before,
+            AdvicePosition::After,
+            AdvicePosition::Append,
+            AdvicePosition::Prepend,
+            AdvicePosition::ReplaceContent,
+        ] {
+            let b = Aspect::new("b").with_precedence(1).text_rule(
+                Pointcut::parse(r#"element("b")"#).unwrap(),
+                position,
+                "!",
+            );
+            let w = Weaver::new().aspect(a.clone()).aspect(b);
+            let expected = Err(WeaveError::DetachedJoinPoint {
+                page: "p.html".into(),
+                aspect: "b".into(),
+            });
+            assert_eq!(w.weave_page_naive("p.html", &doc).map(|_| ()), expected);
+            assert_eq!(w.weave_page("p.html", &doc).map(|_| ()), expected);
+        }
     }
 
     #[test]

@@ -96,6 +96,7 @@ fn position_strategy() -> impl Strategy<Value = AdvicePosition> {
         Just(AdvicePosition::Prepend),
         Just(AdvicePosition::Before),
         Just(AdvicePosition::After),
+        Just(AdvicePosition::ReplaceContent),
     ]
 }
 

@@ -33,7 +33,8 @@ pub enum CoreError {
     SourceLint(crate::lint::SourceLintReport),
     /// A weave worker panicked on one page. The panic was absorbed by the
     /// pipeline's per-page `catch_unwind`; the remaining pages completed
-    /// and the pool drained normally.
+    /// and the pool drained normally. [`RetryPolicy`](crate::publish::RetryPolicy)
+    /// retries it only when an armed fault plan raised it.
     WorkerPanic {
         /// The page being woven when the worker panicked (`"<worker>"` if
         /// a worker died outside any page).

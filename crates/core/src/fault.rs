@@ -15,5 +15,6 @@
 //! un-faulted paths, which the chaos suite asserts.
 
 pub use navsep_web::fault::{
-    fire, sites, FaultError, FaultHit, FaultInjectingHandler, FaultKind, FaultPlan, FaultRule,
+    fire, injected_panic_message, sites, FaultError, FaultHit, FaultInjectingHandler, FaultKind,
+    FaultPlan, FaultRule,
 };

@@ -102,13 +102,13 @@ pub struct WovenOutput {
 /// address data documents, or whose arcroles aren't navsep navigation roles.
 pub fn navigation_map(linkbase: &Linkbase) -> Result<BTreeMap<String, PageNav>, CoreError> {
     let mut map: BTreeMap<String, PageNav> = BTreeMap::new();
-    for link in linkbase.extended_links() {
+    for (link, traversals) in linkbase.link_traversals() {
         let context = link.role.clone().ok_or_else(|| {
             CoreError::Pipeline("extended link missing xlink:role (the context name)".to_string())
         })?;
-        for t in link.traversals().map_err(CoreError::XLink)? {
-            let from_page = endpoint_page(&t.from, linkbase)?;
-            let to_page = endpoint_page(&t.to, linkbase)?;
+        for t in traversals.map_err(CoreError::XLink)? {
+            let from_page = endpoint_page(&t.from)?;
+            let to_page = endpoint_page(&t.to)?;
             let kind = t
                 .arcrole
                 .as_deref()
@@ -122,17 +122,18 @@ pub fn navigation_map(linkbase: &Linkbase) -> Result<BTreeMap<String, PageNav>, 
             let entry = map.entry(from_page.clone()).or_default();
             match kind {
                 NavLinkKind::IndexEntry => {
-                    let label = t
-                        .title
-                        .clone()
-                        .unwrap_or_else(|| to_page.trim_end_matches(".html").to_string());
+                    let label = t.title.as_deref().map_or_else(
+                        || to_page.trim_end_matches(".html").to_string(),
+                        str::to_string,
+                    );
                     entry.index_items.push((to_page, label, context.clone()));
                 }
                 other => {
                     let label = t
                         .title
-                        .clone()
-                        .unwrap_or_else(|| other.default_label().to_string());
+                        .as_deref()
+                        .unwrap_or(other.default_label())
+                        .to_string();
                     entry.anchors.push(NavAnchor {
                         rel: crate::fragments::rel_of(other),
                         href: to_page,
@@ -146,17 +147,16 @@ pub fn navigation_map(linkbase: &Linkbase) -> Result<BTreeMap<String, PageNav>, 
     Ok(map)
 }
 
-fn endpoint_page(ep: &Endpoint, linkbase: &Linkbase) -> Result<String, CoreError> {
+/// The page a traversal endpoint lands on. Linkbase traversals carry hrefs
+/// already resolved against the linkbase's path.
+fn endpoint_page(ep: &Endpoint) -> Result<String, CoreError> {
     match ep {
-        Endpoint::Remote(href) => {
-            let resolved = href.resolve_against(linkbase.path());
-            data_to_page(resolved.document()).ok_or_else(|| {
-                CoreError::Pipeline(format!(
-                    "locator href {:?} does not address a data document",
-                    href.to_string()
-                ))
-            })
-        }
+        Endpoint::Remote(href) => data_to_page(href.document()).ok_or_else(|| {
+            CoreError::Pipeline(format!(
+                "locator href {:?} does not address a data document",
+                href.to_string()
+            ))
+        }),
         Endpoint::Local(_) => Err(CoreError::Pipeline(
             "navsep linkbases use locators, not local resources".to_string(),
         )),
@@ -488,22 +488,9 @@ fn weave_impl(
 ) -> Result<WovenOutput, CoreError> {
     let specs = compile_specs(sources, cache)?;
 
-    // Stage 1 — presentation: transform each data document into a base page.
-    let mut pages: BTreeMap<String, navsep_xml::Document> = BTreeMap::new();
-    for (path, res) in sources.iter() {
-        if path == LINKBASE_PATH || path == TRANSFORM_PATH || path == ASPECTS_PATH {
-            continue;
-        }
-        let Some(doc) = res.document() else { continue };
-        let Some(page_path) = data_to_page(path) else {
-            continue;
-        };
-        pages.insert(page_path, specs.transform.apply(doc)?);
-    }
-
-    // Stage 2 — navigation: linkbase → per-page fragments → one aspect.
-    // The cached compiled weaver is reusable only for the base aspect set;
-    // extra aspects change the weave, so they force a fresh compile.
+    // Navigation: linkbase → per-page fragments → one aspect. The cached
+    // compiled weaver is reusable only for the base aspect set; extra
+    // aspects change the weave, so they force a fresh compile.
     let weaver = match (&specs.weaver, extra_aspects.is_empty()) {
         (Some(w), true) => Arc::clone(w),
         _ => {
@@ -515,11 +502,24 @@ fn weave_impl(
         }
     };
 
-    // Stage 3 — weave.
-    let (woven, reports) = weaver.weave_site(&pages)?;
+    // The data documents, in page order.
+    let data: BTreeMap<String, &navsep_xml::Document> = sources
+        .iter()
+        .filter(|(path, _)| {
+            *path != LINKBASE_PATH && *path != TRANSFORM_PATH && *path != ASPECTS_PATH
+        })
+        .filter_map(|(path, res)| Some((data_to_page(path)?, res.document()?)))
+        .collect();
+    // Presentation, then navigation, one page at a time: a page's base is
+    // dropped as soon as it is woven, and the first failing page in page
+    // order is the one reported, as in the parallel pipeline.
     let mut site = Site::new();
-    for (path, doc) in woven {
-        site.put_page(path, doc);
+    let mut reports = Vec::with_capacity(data.len());
+    for (page_path, doc) in data {
+        let base = specs.transform.apply(doc)?;
+        let (woven, report) = weaver.weave_page(&page_path, &base)?;
+        site.put_page(page_path, woven);
+        reports.push(report);
     }
     // Raw resources (the CSS) pass through untouched, media type and all.
     for (path, res) in sources.iter() {

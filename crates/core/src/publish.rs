@@ -15,12 +15,18 @@
 //! raw resources: the K edited pages are re-transformed and re-woven
 //! ([`weave_pages_cached`]), every other page of the retained woven site is
 //! reused as-is (its memoized [`navsep_xml::Document::content_hash`]
-//! travelling with the clone), and
-//! [`ShardedSiteStore::publish_incremental`] then reuses the unchanged
-//! `Arc` entries and skips untouched shards — a K-page edit republishes
-//! O(K) pages, not O(site). A batch that edits a *spec* (linkbase,
-//! transform, `aspects.xml`) falls back to the full weave, since any page
-//! may be affected.
+//! included), and [`ShardedSiteStore::publish_incremental`] then reuses
+//! the unchanged `Arc` entries and skips untouched shards. A batch that
+//! edits a *spec* (linkbase, transform, `aspects.xml`) falls back to the
+//! full weave, since any page may be affected.
+//!
+//! A K-page commit costs O(K), not O(site), because no document is ever
+//! copied: a [`Site`] holds each parsed document behind an `Arc` and never
+//! mutates it. The staged edit, the committed sources, the last woven
+//! site, the store entry and every retained epoch share one document, so
+//! the working copy of the sources, the incremental path's copy of the
+//! last woven site and dropping the replaced sites are reference-count
+//! operations (plus one shared path per entry).
 //!
 //! Commits are transactional over the staged batch: if the weave (or the
 //! audit / pre-weave lint, for
@@ -48,12 +54,14 @@ use std::time::Duration;
 ///
 /// A failure is transient when it came from the fault subsystem:
 /// [`CoreError::Fault`] (an injected error, e.g. a failed store publish)
-/// or [`CoreError::WorkerPanic`] (an absorbed panic). Injected fault
-/// budgets model recoverable conditions — a rule with
+/// or a [`CoreError::WorkerPanic`] that an armed [`FaultPlan`] raised (the
+/// publisher's own plan or the store's). Injected fault budgets model
+/// recoverable conditions — a rule with
 /// [`times(n)`](crate::fault::FaultRule::times) stops firing once spent —
 /// so retrying them is exactly what a production supervisor would do.
 /// Organic pipeline errors (bad XML, dangling locators, audit findings)
-/// are deterministic and are **never** retried.
+/// are deterministic, and an organic panic is a bug: neither is **ever**
+/// retried.
 ///
 /// The delay before retry `k` (0-based) is `base_delay × 2^k`, capped at
 /// `max_delay`.
@@ -96,22 +104,33 @@ impl RetryPolicy {
             .min(self.max_delay)
     }
 
-    fn is_transient(error: &CoreError) -> bool {
-        matches!(error, CoreError::Fault(_) | CoreError::WorkerPanic { .. })
+    /// `true` for an injected error, or a panic one of the `armed` plans
+    /// raised.
+    fn is_transient(error: &CoreError, armed: &[Arc<FaultPlan>]) -> bool {
+        match error {
+            CoreError::Fault(_) => true,
+            CoreError::WorkerPanic { message, .. } => {
+                armed.iter().any(|plan| plan.raised_panic(message))
+            }
+            _ => false,
+        }
     }
 
-    /// Runs `attempt_fn` until it succeeds, fails non-transiently, or the
-    /// attempt budget is spent; returns the value plus how many retries it
-    /// took.
+    /// Runs `attempt_fn` until it succeeds, fails non-transiently (as
+    /// judged against the `armed` fault plans), or the attempt budget is
+    /// spent; returns the value plus how many retries it took.
     fn run_counted<T>(
         &self,
+        armed: &[Arc<FaultPlan>],
         mut attempt_fn: impl FnMut() -> Result<T, CoreError>,
     ) -> Result<(T, u32), CoreError> {
         let mut retries = 0u32;
         loop {
             match attempt_fn() {
                 Ok(value) => return Ok((value, retries)),
-                Err(error) if Self::is_transient(&error) && retries + 1 < self.max_attempts => {
+                Err(error)
+                    if Self::is_transient(&error, armed) && retries + 1 < self.max_attempts =>
+                {
                     std::thread::sleep(self.backoff(retries));
                     retries += 1;
                 }
@@ -130,8 +149,9 @@ pub enum SourceEdit {
     PutDocument {
         /// Source path (e.g. `links.xml`).
         path: String,
-        /// The new document.
-        doc: Document,
+        /// The new document, shared (not copied) into the sources when
+        /// the batch commits.
+        doc: Arc<Document>,
     },
     /// Store (or replace) a raw text resource (CSS or plain text).
     PutRaw {
@@ -148,11 +168,12 @@ pub enum SourceEdit {
 }
 
 impl SourceEdit {
-    /// A document put.
+    /// A document put. The document is shared from here on: applying the
+    /// edit hands the sources the same document, not a copy.
     pub fn put_document(path: impl Into<String>, doc: Document) -> Self {
         SourceEdit::PutDocument {
             path: path.into(),
-            doc,
+            doc: Arc::new(doc),
         }
     }
 
@@ -172,7 +193,7 @@ impl SourceEdit {
     fn apply(&self, sources: &mut Site) {
         match self {
             SourceEdit::PutDocument { path, doc } => {
-                sources.put_document(path.clone(), doc.clone())
+                sources.put_shared_document(path.clone(), Arc::clone(doc))
             }
             SourceEdit::PutRaw { path, text } => {
                 if path.ends_with(".css") {
@@ -251,7 +272,7 @@ pub struct SitePublisher {
     cache: WeaveCache,
     staged: Vec<SourceEdit>,
     /// The woven site of the last successful commit — what the
-    /// incremental path reuses for untouched pages (document clones carry
+    /// incremental path reuses for untouched pages (shared documents keep
     /// their memoized content hash, so the store's diff is O(1) per
     /// reused page).
     last_woven: Option<Site>,
@@ -323,6 +344,12 @@ impl SitePublisher {
         &self.sources
     }
 
+    /// The woven site of the last successful commit (`None` before the
+    /// first): what the incremental path reuses for untouched pages.
+    pub fn last_woven(&self) -> Option<&Site> {
+        self.last_woven.as_ref()
+    }
+
     /// The store this publisher swaps generations into.
     pub fn store(&self) -> &Arc<ShardedSiteStore> {
         &self.store
@@ -387,7 +414,8 @@ impl SitePublisher {
         }
         let retry = self.retry;
         let faults = self.faults.clone();
-        let ((woven, store_publish), retries) = retry.run_counted(|| {
+        let armed = self.armed_plans();
+        let ((woven, store_publish), retries) = retry.run_counted(&armed, || {
             let attempt = catch_unwind(AssertUnwindSafe(|| {
                 let woven = weave_separated_streaming_cached_faulted(
                     &next,
@@ -435,6 +463,16 @@ impl SitePublisher {
             edit.apply(&mut next);
         }
         lint_sources(&next)
+    }
+
+    /// The fault plans armed on this publisher and on its store: the only
+    /// sources of panics a commit may retry.
+    fn armed_plans(&self) -> Vec<Arc<FaultPlan>> {
+        self.faults
+            .iter()
+            .cloned()
+            .chain(self.store.armed_faults())
+            .collect()
     }
 
     /// `true` when `edit` touches a spec the [`WeaveCache`] compiles.
@@ -527,15 +565,16 @@ impl SitePublisher {
             self.cache.clear();
         }
         // The weave + store publish run inside the retry loop, with a
-        // `catch_unwind` so an injected (or organic) panic becomes a
-        // retriable [`CoreError::WorkerPanic`] instead of tearing down the
-        // caller. Every attempt starts from the same immutable `next`;
+        // `catch_unwind` so a panic becomes a [`CoreError::WorkerPanic`]
+        // instead of tearing down the caller (retried only when an armed
+        // fault plan raised it). Every attempt starts from the same immutable `next`;
         // `self` is only mutated after the whole attempt succeeds, so a
         // retried commit is indistinguishable from a first-try one.
         let retry = self.retry;
         let faults = self.faults.clone();
+        let armed = self.armed_plans();
         let ((woven_site, pages_rewoven, pages_reused, store_publish), retries) = retry
-            .run_counted(|| {
+            .run_counted(&armed, || {
                 let attempt = catch_unwind(AssertUnwindSafe(|| {
                     fault::fire(
                         faults.as_deref(),
@@ -545,8 +584,8 @@ impl SitePublisher {
                     .map_err(CoreError::from)?;
                     let (woven_site, pages_rewoven, pages_reused) = match &self.last_woven {
                         // Data/raw-only batches reweave O(K): every
-                        // untouched page is the previous weave's document,
-                        // cloned with its memoized content hash.
+                        // untouched page is the previous weave's shared
+                        // document, memoized content hash included.
                         Some(prev) if !spec_changed => self.incremental_weave(&next, prev)?,
                         // First commit, or a spec changed: any page may
                         // differ — weave the whole site.

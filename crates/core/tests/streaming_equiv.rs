@@ -66,16 +66,13 @@ fn position_strategy() -> impl Strategy<Value = AdvicePosition> {
         Just(AdvicePosition::Prepend),
         Just(AdvicePosition::Before),
         Just(AdvicePosition::After),
+        Just(AdvicePosition::ReplaceContent),
     ]
 }
 
 /// How one random rule realizes content: the first three stream,
-/// `Generated` forces the page through the DOM weaver.
-///
-/// `ReplaceContent` is exercised by dedicated tests below rather than the
-/// random mix: the DOM weaver (the specification side) panics when a
-/// replace detaches a subtree that a later `before`/`after` rule then
-/// targets, and a panic on both sides is not comparable as a `Result`.
+/// `Generated` forces the page through the DOM weaver (as does any
+/// `ReplaceContent` rule, whose page is never streamable).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ContentKind {
     Text,

@@ -77,7 +77,8 @@ pub mod sites {
 /// What happens when a rule fires.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FaultKind {
-    /// Panic at the injection site (message contains `"injected fault"`).
+    /// Panic at the injection site, with
+    /// [`injected_panic_message`] (which contains `"injected fault"`).
     Panic,
     /// Sleep for the given duration, then proceed normally.
     Slow(Duration),
@@ -241,6 +242,20 @@ impl FaultPlan {
         self.fired.load(Ordering::SeqCst)
     }
 
+    /// `true` when this plan fired a [`FaultKind::Panic`] whose panic
+    /// message is `message` — how a supervisor tells an injected panic
+    /// (transient by design) from an organic one (a bug).
+    pub fn raised_panic(&self, message: &str) -> bool {
+        self.log
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .iter()
+            .any(|hit| {
+                hit.kind == FaultKind::Panic
+                    && injected_panic_message(&hit.site, &hit.key) == message
+            })
+    }
+
     /// A snapshot of every fault fired so far, in firing order.
     pub fn hits(&self) -> Vec<FaultHit> {
         self.log.lock().unwrap_or_else(|e| e.into_inner()).clone()
@@ -325,6 +340,12 @@ fn mix(seed: u64, site: &str, key: &str, seq: u32) -> u64 {
     hash
 }
 
+/// The message a [`FaultKind::Panic`] fired at `site` for `key` panics
+/// with.
+pub fn injected_panic_message(site: &str, key: &str) -> String {
+    format!("injected fault: panic at {site} [{key}]")
+}
+
 /// Consults `plan` (if armed) at `site`/`key` and *acts* on the outcome:
 /// panics for [`FaultKind::Panic`], sleeps through [`FaultKind::Slow`], and
 /// returns a [`FaultError`] for [`FaultKind::Error`]/[`FaultKind::Disconnect`].
@@ -334,7 +355,7 @@ pub fn fire(plan: Option<&FaultPlan>, site: &str, key: &str) -> Result<(), Fault
     let Some(plan) = plan else { return Ok(()) };
     match plan.decide(site, key) {
         None => Ok(()),
-        Some(FaultKind::Panic) => panic!("injected fault: panic at {site} [{key}]"),
+        Some(FaultKind::Panic) => panic!("{}", injected_panic_message(site, key)),
         Some(FaultKind::Slow(delay)) => {
             std::thread::sleep(delay);
             Ok(())

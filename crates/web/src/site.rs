@@ -4,12 +4,18 @@
 //! web application. A [`Site`] holds them by path, keeps XML parsed, and
 //! implements [`navsep_xlink::DocumentProvider`] so linkbases resolve
 //! against it directly.
+//!
+//! A parsed document is immutable once it enters a site: the resource
+//! holds it behind an `Arc`, so cloning a site, copying a resource into a
+//! store entry, or dropping a replaced site only moves reference counts.
+//! Sites that share a document are guaranteed to see the same bytes.
 
 use bytes::Bytes;
 use navsep_xlink::DocumentProvider;
 use navsep_xml::Document;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Media types the site distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,8 +65,9 @@ pub enum Resource {
     Document {
         /// Its media type (Xml or Html).
         media_type: MediaType,
-        /// The parsed document.
-        doc: Document,
+        /// The parsed document, shared with every site, store entry and
+        /// retained epoch that holds it.
+        doc: Arc<Document>,
     },
     /// Raw bytes (CSS, plain text).
     Raw {
@@ -81,6 +88,16 @@ impl Resource {
 
     /// The parsed document, when this is a document resource.
     pub fn document(&self) -> Option<&Document> {
+        match self {
+            Resource::Document { doc, .. } => Some(&**doc),
+            Resource::Raw { .. } => None,
+        }
+    }
+
+    /// The shared handle of the parsed document, when this is a document
+    /// resource. Two resources whose handles are [`Arc::ptr_eq`] hold the
+    /// very same document.
+    pub fn shared_document(&self) -> Option<&Arc<Document>> {
         match self {
             Resource::Document { doc, .. } => Some(doc),
             Resource::Raw { .. } => None,
@@ -113,7 +130,8 @@ impl Resource {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct Site {
-    resources: BTreeMap<String, Resource>,
+    /// Keyed by shared path strings, so cloning the map copies no path.
+    resources: BTreeMap<Arc<str>, Resource>,
 }
 
 impl Site {
@@ -122,32 +140,38 @@ impl Site {
         Self::default()
     }
 
-    /// Stores a parsed document; media type guessed from the extension.
+    /// Stores a parsed document, from now on shared and never mutated;
+    /// media type guessed from the extension.
     pub fn put_document(&mut self, path: impl Into<String>, doc: Document) {
+        self.put_shared_document(path, Arc::new(doc));
+    }
+
+    /// Stores an already-shared document without copying it; media type
+    /// guessed from the extension.
+    pub fn put_shared_document(&mut self, path: impl Into<String>, doc: Arc<Document>) {
         let path = path.into();
         let media_type = match MediaType::from_path(&path) {
             MediaType::Html => MediaType::Html,
             _ => MediaType::Xml,
         };
-        self.resources
-            .insert(path, Resource::Document { media_type, doc });
+        self.put_resource(path, Resource::Document { media_type, doc });
     }
 
-    /// Stores an XHTML page.
+    /// Stores an XHTML page, from now on shared and never mutated.
     pub fn put_page(&mut self, path: impl Into<String>, doc: Document) {
-        self.resources.insert(
-            path.into(),
+        self.put_resource(
+            path,
             Resource::Document {
                 media_type: MediaType::Html,
-                doc,
+                doc: Arc::new(doc),
             },
         );
     }
 
     /// Stores a CSS stylesheet.
     pub fn put_css(&mut self, path: impl Into<String>, css: impl Into<String>) {
-        self.resources.insert(
-            path.into(),
+        self.put_resource(
+            path,
             Resource::Raw {
                 media_type: MediaType::Css,
                 body: Bytes::from(css.into()),
@@ -157,8 +181,8 @@ impl Site {
 
     /// Stores plain text.
     pub fn put_text(&mut self, path: impl Into<String>, text: impl Into<String>) {
-        self.resources.insert(
-            path.into(),
+        self.put_resource(
+            path,
             Resource::Raw {
                 media_type: MediaType::Text,
                 body: Bytes::from(text.into()),
@@ -168,7 +192,17 @@ impl Site {
 
     /// Stores an already-built [`Resource`] under `path` as-is.
     pub fn put_resource(&mut self, path: impl Into<String>, resource: Resource) {
-        self.resources.insert(path.into(), resource);
+        self.insert_shared(Arc::from(path.into()), resource);
+    }
+
+    /// Stores `resource` under an already-shared path.
+    pub(crate) fn insert_shared(&mut self, path: Arc<str>, resource: Resource) {
+        self.resources.insert(path, resource);
+    }
+
+    /// Iterates `(path, resource)` pairs with their shared paths, sorted.
+    pub(crate) fn shared_entries(&self) -> impl Iterator<Item = (&Arc<str>, &Resource)> {
+        self.resources.iter()
     }
 
     /// Looks up a resource.
@@ -183,12 +217,12 @@ impl Site {
 
     /// All paths, sorted.
     pub fn paths(&self) -> impl Iterator<Item = &str> {
-        self.resources.keys().map(String::as_str)
+        self.resources.keys().map(|k| &**k)
     }
 
     /// Iterates `(path, resource)` pairs, sorted by path.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Resource)> {
-        self.resources.iter().map(|(k, v)| (k.as_str(), v))
+        self.resources.iter().map(|(k, v)| (&**k, v))
     }
 
     /// Number of resources.
@@ -211,7 +245,7 @@ impl Site {
                     Resource::Document { doc, .. } => doc.to_pretty_xml(),
                     Resource::Raw { body, .. } => String::from_utf8_lossy(body).into_owned(),
                 };
-                (path.clone(), text)
+                (path.to_string(), text)
             })
             .collect()
     }
@@ -301,6 +335,19 @@ mod tests {
         .into_iter()
         .collect();
         assert_eq!(site.len(), 2);
+    }
+
+    #[test]
+    fn clones_share_documents() {
+        let mut s = Site::new();
+        s.put_document("a.xml", Document::parse("<a/>").unwrap());
+        let copy = s.clone();
+        let shared =
+            |site: &Site| Arc::clone(site.get("a.xml").unwrap().shared_document().unwrap());
+        assert!(Arc::ptr_eq(&shared(&s), &shared(&copy)));
+        s.put_document("a.xml", Document::parse("<b/>").unwrap());
+        let a = Document::parse("<a/>").unwrap().to_xml_string();
+        assert_eq!(copy.document("a.xml").unwrap().to_xml_string(), a);
     }
 
     #[test]

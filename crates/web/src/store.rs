@@ -135,7 +135,7 @@ struct Published {
 #[derive(Debug)]
 struct Shard {
     generation: u64,
-    resources: BTreeMap<String, Arc<Published>>,
+    resources: BTreeMap<Arc<str>, Arc<Published>>,
 }
 
 impl Shard {
@@ -348,6 +348,11 @@ impl ShardedSiteStore {
         *self.faults.write() = None;
     }
 
+    /// The armed fault plan, if any.
+    pub fn armed_faults(&self) -> Option<Arc<FaultPlan>> {
+        self.faults.read().clone()
+    }
+
     /// Consults the armed plan (if any) at the `store.publish` site. Called
     /// under the publish lock after rendering, before any epoch retention
     /// or shard swap — so an injected failure aborts a publish with the old
@@ -362,8 +367,8 @@ impl ShardedSiteStore {
             None => Ok(()),
             Some(FaultKind::Panic) => {
                 panic!(
-                    "injected fault: panic at {} [commit]",
-                    fault::sites::STORE_PUBLISH
+                    "{}",
+                    fault::injected_panic_message(fault::sites::STORE_PUBLISH, "commit")
                 )
             }
             Some(FaultKind::Slow(delay)) => {
@@ -428,16 +433,16 @@ impl ShardedSiteStore {
     /// [`publish_incremental`](Self::publish_incremental).
     pub fn publish(&self, site: &Site) -> u64 {
         let n = self.shards.len();
-        let mut partitions: Vec<BTreeMap<String, Arc<Published>>> =
+        let mut partitions: Vec<BTreeMap<Arc<str>, Arc<Published>>> =
             (0..n).map(|_| BTreeMap::new()).collect();
-        for (path, res) in site.iter() {
+        for (path, res) in site.shared_entries() {
             // Render once here so every GET of this epoch is allocation-free.
             let published = Published {
                 body: res.to_bytes(),
                 content_key: content_key(res),
                 resource: res.clone(),
             };
-            partitions[self.shard_of(path)].insert(path.to_string(), Arc::new(published));
+            partitions[self.shard_of(path)].insert(Arc::clone(path), Arc::new(published));
         }
         let _swap_guard = self.publish_lock.lock();
         // The publish lock serializes publishers, so load+store is race-free
@@ -517,15 +522,15 @@ impl ShardedSiteStore {
         let _swap_guard = self.publish_lock.lock();
         let generation = self.generation.load(Ordering::Acquire) + 1;
         let previous: Vec<Arc<Shard>> = self.shards.iter().map(|s| Arc::clone(&s.read())).collect();
-        let mut partitions: Vec<BTreeMap<String, Arc<Published>>> =
+        let mut partitions: Vec<BTreeMap<Arc<str>, Arc<Published>>> =
             (0..n).map(|_| BTreeMap::new()).collect();
         let mut changed = vec![false; n];
         let mut pages_reused = 0;
         let mut pages_rendered = 0;
-        for (path, res) in site.iter() {
+        for (path, res) in site.shared_entries() {
             let idx = self.shard_of(path);
             let key = content_key(res);
-            let entry = match previous[idx].resources.get(path) {
+            let entry = match previous[idx].resources.get(&**path) {
                 Some(prev) if prev.content_key == key => {
                     pages_reused += 1;
                     Arc::clone(prev)
@@ -540,7 +545,7 @@ impl ShardedSiteStore {
                     })
                 }
             };
-            partitions[idx].insert(path.to_string(), entry);
+            partitions[idx].insert(Arc::clone(path), entry);
         }
         // A shard with only removals has every surviving entry reused but a
         // smaller map — it changed too.
@@ -701,7 +706,12 @@ impl ShardedSiteStore {
             .map(|shards| {
                 shards
                     .iter()
-                    .flat_map(|s| s.resources.keys().cloned().collect::<Vec<_>>())
+                    .flat_map(|s| {
+                        s.resources
+                            .keys()
+                            .map(|k| k.to_string())
+                            .collect::<Vec<_>>()
+                    })
                     .collect()
             })
             .unwrap_or_default();
@@ -710,13 +720,14 @@ impl ShardedSiteStore {
     }
 
     /// Reassembles the latest epoch's resources into a [`Site`] (e.g. for
-    /// auditing). Clones every resource; not a hot-path operation.
+    /// auditing). The site shares every path, document and body with the
+    /// store; building it costs one map insert per resource.
     pub fn to_site(&self) -> Site {
         let mut site = Site::new();
         if let Some(shards) = self.latest_epoch() {
             for snapshot in shards {
                 for (path, published) in &snapshot.resources {
-                    site.put_resource(path.clone(), published.resource.clone());
+                    site.insert_shared(Arc::clone(path), published.resource.clone());
                 }
             }
         }

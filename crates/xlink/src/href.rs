@@ -3,6 +3,7 @@
 
 use crate::error::XLinkError;
 use std::fmt;
+use std::sync::Arc;
 
 /// A parsed `xlink:href`: the document being addressed and an optional
 /// XPointer fragment.
@@ -11,6 +12,9 @@ use std::fmt;
 /// paper's world of local XML files), so `document` is a path like
 /// `picasso.xml` or `/paintings/avignon.xml`, and `fragment` is everything
 /// after `#`.
+///
+/// Both parts are shared strings: a linkbase expands each locator into
+/// many traversals, and every copy of its href is a reference-count bump.
 ///
 /// # Examples
 ///
@@ -27,21 +31,26 @@ use std::fmt;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Href {
-    document: String,
-    fragment: Option<String>,
+    document: Arc<str>,
+    fragment: Option<Arc<str>>,
 }
 
 impl Href {
     /// Creates an href from a document path and optional fragment.
     pub fn new(document: impl Into<String>, fragment: Option<String>) -> Self {
         Href {
-            document: document.into(),
-            fragment,
+            document: Arc::from(document.into()),
+            fragment: fragment.map(Arc::from),
         }
     }
 
     /// The document part (empty for same-document references).
     pub fn document(&self) -> &str {
+        &self.document
+    }
+
+    /// The document part as the shared string it is stored in.
+    pub(crate) fn shared_document(&self) -> &Arc<str> {
         &self.document
     }
 
@@ -94,8 +103,12 @@ impl Href {
                 s => segments.push(s),
             }
         }
+        let document = segments.join("/");
+        if document == *self.document {
+            return self.clone();
+        }
         Href {
-            document: segments.join("/"),
+            document: Arc::from(document),
             fragment: self.fragment.clone(),
         }
     }

@@ -18,6 +18,7 @@ use crate::attrs::{Actuate, LinkType, Show, XLinkAttrs};
 use crate::error::XLinkError;
 use crate::href::Href;
 use navsep_xml::{Document, NodeId};
+use std::sync::Arc;
 
 /// A link expressed entirely on one element (`xlink:type="simple"`).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,24 +106,28 @@ impl Endpoint {
 }
 
 /// A concrete traversal produced by expanding an arc over its label groups.
+///
+/// An arc expands into many traversals that repeat its labels, role and
+/// title, so those are shared strings: copying a traversal allocates
+/// nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Traversal {
     /// Label of the starting resource.
-    pub from_label: String,
+    pub from_label: Arc<str>,
     /// Label of the ending resource.
-    pub to_label: String,
+    pub to_label: Arc<str>,
     /// Starting endpoint.
     pub from: Endpoint,
     /// Ending endpoint.
     pub to: Endpoint,
     /// The arc's semantic role.
-    pub arcrole: Option<String>,
+    pub arcrole: Option<Arc<str>>,
     /// Presentation intent.
     pub show: Show,
     /// Traversal timing.
     pub actuate: Actuate,
     /// Arc title, falling back to the ending resource's title.
-    pub title: Option<String>,
+    pub title: Option<Arc<str>>,
 }
 
 /// An extended link: the parsed form of one `xlink:type="extended"` element.
@@ -270,19 +275,35 @@ impl ExtendedLink {
                 }
                 None => all_labels.clone(),
             };
-            for from_label in &from_labels {
+            let arcrole: Option<Arc<str>> = arc.arcrole.as_deref().map(Arc::from);
+            let arc_title: Option<Arc<str>> = arc.title.as_deref().map(Arc::from);
+            // Each ending label with its endpoints and their titles, shared
+            // by every starting endpoint of the arc.
+            let to_groups: Vec<(Arc<str>, Vec<_>)> = to_labels
+                .iter()
+                .map(|&label| {
+                    let endpoints = self
+                        .endpoints_for_label(label)
+                        .into_iter()
+                        .map(|(ep, title)| (ep, arc_title.clone().or_else(|| title.map(Arc::from))))
+                        .collect();
+                    (Arc::from(label), endpoints)
+                })
+                .collect();
+            for &from_label in &from_labels {
+                let from_name: Arc<str> = Arc::from(from_label);
                 for (from_ep, _) in self.endpoints_for_label(from_label) {
-                    for to_label in &to_labels {
-                        for (to_ep, to_title) in self.endpoints_for_label(to_label) {
+                    for (to_name, endpoints) in &to_groups {
+                        for (to_ep, title) in endpoints {
                             out.push(Traversal {
-                                from_label: (*from_label).to_string(),
-                                to_label: (*to_label).to_string(),
+                                from_label: Arc::clone(&from_name),
+                                to_label: Arc::clone(to_name),
                                 from: from_ep.clone(),
                                 to: to_ep.clone(),
-                                arcrole: arc.arcrole.clone(),
+                                arcrole: arcrole.clone(),
                                 show: arc.show,
                                 actuate: arc.actuate,
-                                title: arc.title.clone().or_else(|| to_title.map(str::to_string)),
+                                title: title.clone(),
                             });
                         }
                     }

@@ -9,10 +9,16 @@
 use crate::attrs::{LinkType, XLinkAttrs, LINKBASE_ARCROLE};
 use crate::error::XLinkError;
 use crate::href::Href;
-use crate::link::{simple_link, ExtendedLink, SimpleLink, Traversal};
+use crate::link::{simple_link, Endpoint, ExtendedLink, SimpleLink, Traversal};
 use navsep_xml::{Document, NodeId};
+use std::sync::OnceLock;
 
 /// All XLink content of one document.
+///
+/// A linkbase is immutable once loaded, so the traversal expansion is
+/// computed on first use and memoized: every later call (and every
+/// [`Resolver::resolve`](crate::Resolver::resolve) over it) reads the same
+/// expansion, or gets the same error back.
 ///
 /// # Examples
 ///
@@ -36,6 +42,18 @@ pub struct Linkbase {
     path: String,
     extended: Vec<ExtendedLink>,
     simple: Vec<SimpleLink>,
+    /// Memoized expansion of every extended link.
+    expanded: OnceLock<Expansion>,
+}
+
+/// The traversals of every extended link, concatenated in document order.
+#[derive(Debug, Clone)]
+struct Expansion {
+    traversals: Vec<Traversal>,
+    /// `ends[i]` is where link `i`'s traversals end. Shorter than the link
+    /// list when a link failed to expand; `error` then says why.
+    ends: Vec<usize>,
+    error: Option<XLinkError>,
 }
 
 impl Linkbase {
@@ -83,6 +101,7 @@ impl Linkbase {
             path: path.into(),
             extended,
             simple,
+            expanded: OnceLock::new(),
         })
     }
 
@@ -108,19 +127,73 @@ impl Linkbase {
     ///
     /// Returns the first arc-expansion error.
     pub fn traversals(&self) -> Result<Vec<Traversal>, XLinkError> {
-        let mut out = Vec::new();
-        for link in &self.extended {
-            for mut t in link.traversals()? {
-                if let crate::link::Endpoint::Remote(h) = &t.from {
-                    t.from = crate::link::Endpoint::Remote(h.resolve_against(&self.path));
-                }
-                if let crate::link::Endpoint::Remote(h) = &t.to {
-                    t.to = crate::link::Endpoint::Remote(h.resolve_against(&self.path));
-                }
-                out.push(t);
-            }
+        self.expanded_traversals().map(<[Traversal]>::to_vec)
+    }
+
+    /// [`traversals`](Linkbase::traversals) without the copy: the memoized
+    /// expansion, computed on the first call.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first arc-expansion error (the same one on every call).
+    pub fn expanded_traversals(&self) -> Result<&[Traversal], XLinkError> {
+        let expansion = self.expansion();
+        match &expansion.error {
+            Some(e) => Err(e.clone()),
+            None => Ok(&expansion.traversals),
         }
-        Ok(out)
+    }
+
+    /// Each extended link with its slice of the memoized expansion, in
+    /// document order. Iteration stops after the first link that fails to
+    /// expand, which comes with its error.
+    pub fn link_traversals(
+        &self,
+    ) -> impl Iterator<Item = (&ExtendedLink, Result<&[Traversal], XLinkError>)> + '_ {
+        let expansion = self.expansion();
+        let failed = expansion
+            .error
+            .clone()
+            .map(|e| (&self.extended[expansion.ends.len()], Err(e)));
+        let starts = std::iter::once(0).chain(expansion.ends.iter().copied());
+        self.extended
+            .iter()
+            .zip(starts.zip(&expansion.ends))
+            .map(|(link, (start, &end))| (link, Ok(&expansion.traversals[start..end])))
+            .chain(failed)
+    }
+
+    fn expansion(&self) -> &Expansion {
+        self.expanded.get_or_init(|| {
+            let mut expansion = Expansion {
+                traversals: Vec::new(),
+                ends: Vec::with_capacity(self.extended.len()),
+                error: None,
+            };
+            for link in &self.extended {
+                match link.traversals() {
+                    Ok(traversals) => {
+                        expansion
+                            .traversals
+                            .extend(traversals.into_iter().map(|mut t| {
+                                if let Endpoint::Remote(h) = &t.from {
+                                    t.from = Endpoint::Remote(h.resolve_against(&self.path));
+                                }
+                                if let Endpoint::Remote(h) = &t.to {
+                                    t.to = Endpoint::Remote(h.resolve_against(&self.path));
+                                }
+                                t
+                            }))
+                    }
+                    Err(e) => {
+                        expansion.error = Some(e);
+                        break;
+                    }
+                }
+                expansion.ends.push(expansion.traversals.len());
+            }
+            expansion
+        })
     }
 
     /// Traversals carrying the given arcrole.
@@ -130,9 +203,10 @@ impl Linkbase {
     /// Returns the first arc-expansion error.
     pub fn traversals_with_arcrole(&self, arcrole: &str) -> Result<Vec<Traversal>, XLinkError> {
         Ok(self
-            .traversals()?
-            .into_iter()
+            .expanded_traversals()?
+            .iter()
             .filter(|t| t.arcrole.as_deref() == Some(arcrole))
+            .cloned()
             .collect())
     }
 
@@ -170,7 +244,7 @@ impl Linkbase {
                 out.push(doc.to_string());
             }
         };
-        for t in self.traversals()? {
+        for t in self.expanded_traversals()? {
             if let Some(h) = t.from.href() {
                 push(h.document());
             }
@@ -222,6 +296,39 @@ mod tests {
         let lb = Linkbase::from_document(&doc, "links.xml").unwrap();
         assert_eq!(lb.extended_links().len(), 2);
         assert_eq!(lb.traversals().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn expansion_is_memoized_errors_included() {
+        let doc = Document::parse(&format!(
+            r#"<links {XLINK} xlink:type="extended">
+  <l xlink:type="locator" xlink:label="a" xlink:href="a.xml"/>
+  <arc xlink:type="arc" xlink:from="a" xlink:to="a"/>
+</links>"#
+        ))
+        .unwrap();
+        let lb = Linkbase::from_document(&doc, "links.xml").unwrap();
+        let first = lb.expanded_traversals().unwrap();
+        assert!(std::ptr::eq(first, lb.expanded_traversals().unwrap()));
+        assert_eq!(lb.traversals().unwrap(), first);
+        let per_link: Vec<_> = lb.link_traversals().collect();
+        assert_eq!(per_link.len(), 1);
+        assert!(std::ptr::eq(per_link[0].1.as_deref().unwrap(), first));
+
+        let bad = Document::parse(&format!(
+            r#"<links {XLINK} xlink:type="extended">
+  <l xlink:type="locator" xlink:label="a" xlink:href="a.xml"/>
+  <arc xlink:type="arc" xlink:from="a" xlink:to="ghost"/>
+</links>"#
+        ))
+        .unwrap();
+        let lb = Linkbase::from_document(&bad, "links.xml").unwrap();
+        let err = lb.traversals().unwrap_err();
+        assert!(matches!(err, XLinkError::UndefinedLabel { end: "to", .. }));
+        assert_eq!(lb.expanded_traversals().unwrap_err(), err);
+        let per_link: Vec<_> = lb.link_traversals().collect();
+        assert_eq!(per_link.len(), 1);
+        assert_eq!(per_link[0].1, Err(err));
     }
 
     #[test]

@@ -11,7 +11,8 @@ use crate::href::Href;
 use crate::link::{Endpoint, Traversal};
 use crate::linkbase::Linkbase;
 use navsep_xml::{Document, NodeId};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 /// Supplies documents by site path. Implemented by in-memory maps here and
 /// by `navsep-web`'s `Site`.
@@ -29,8 +30,9 @@ impl DocumentProvider for BTreeMap<String, Document> {
 /// A fully resolved traversal endpoint: which document, which node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ResolvedEndpoint {
-    /// Site path of the containing document; empty for local resources.
-    pub document: String,
+    /// Site path of the containing document (the linkbase's, for local
+    /// resources and same-document references).
+    pub document: Arc<str>,
     /// The selected node (document root when no fragment was given).
     pub node: NodeId,
     /// The original href, for diagnostics (absent for local resources).
@@ -52,7 +54,7 @@ pub struct ResolvedTraversal {
 #[derive(Debug)]
 pub struct Resolver<'p, P: DocumentProvider + ?Sized> {
     provider: &'p P,
-    linkbase_path: String,
+    linkbase_path: Arc<str>,
 }
 
 impl<'p, P: DocumentProvider + ?Sized> Resolver<'p, P> {
@@ -62,7 +64,7 @@ impl<'p, P: DocumentProvider + ?Sized> Resolver<'p, P> {
     pub fn new(provider: &'p P, linkbase_path: impl Into<String>) -> Self {
         Resolver {
             provider,
-            linkbase_path: linkbase_path.into(),
+            linkbase_path: Arc::from(linkbase_path.into()),
         }
     }
 
@@ -76,20 +78,20 @@ impl<'p, P: DocumentProvider + ?Sized> Resolver<'p, P> {
     pub fn resolve_endpoint(&self, ep: &Endpoint) -> Result<ResolvedEndpoint, XLinkError> {
         match ep {
             Endpoint::Local(node) => Ok(ResolvedEndpoint {
-                document: self.linkbase_path.clone(),
+                document: Arc::clone(&self.linkbase_path),
                 node: *node,
                 href: None,
             }),
             Endpoint::Remote(href) => {
                 let doc_path = if href.is_same_document() {
-                    self.linkbase_path.clone()
+                    Arc::clone(&self.linkbase_path)
                 } else {
-                    href.document().to_string()
+                    Arc::clone(href.shared_document())
                 };
                 let doc = self
                     .provider
                     .document(&doc_path)
-                    .ok_or_else(|| XLinkError::UnknownDocument(doc_path.clone()))?;
+                    .ok_or_else(|| XLinkError::UnknownDocument(doc_path.to_string()))?;
                 let node = match href.fragment() {
                     Some(frag) => navsep_xpointer::resolve_first(doc, frag).map_err(|e| {
                         XLinkError::PointerFailed {
@@ -111,7 +113,12 @@ impl<'p, P: DocumentProvider + ?Sized> Resolver<'p, P> {
         }
     }
 
-    /// Resolves every traversal of `linkbase`.
+    /// Resolves every traversal of `linkbase`, in expansion order.
+    ///
+    /// Each distinct href is resolved once per call: a linkbase names each
+    /// painting in several arcs, and every traversal through it shares the
+    /// one lookup. The result (and the first error) is exactly what
+    /// resolving each traversal's endpoints one by one returns.
     ///
     /// # Errors
     ///
@@ -119,12 +126,14 @@ impl<'p, P: DocumentProvider + ?Sized> Resolver<'p, P> {
     /// [`resolve_lenient`](Resolver::resolve_lenient) to collect partial
     /// results instead.
     pub fn resolve(&self, linkbase: &Linkbase) -> Result<Vec<ResolvedTraversal>, XLinkError> {
-        let mut out = Vec::new();
-        for t in linkbase.traversals()? {
-            let from = self.resolve_endpoint(&t.from)?;
-            let to = self.resolve_endpoint(&t.to)?;
+        let traversals = linkbase.expanded_traversals()?;
+        let mut memo = EndpointMemo::default();
+        let mut out = Vec::with_capacity(traversals.len());
+        for t in traversals {
+            let from = self.resolve_memoized(&t.from, &mut memo)?;
+            let to = self.resolve_memoized(&t.to, &mut memo)?;
             out.push(ResolvedTraversal {
-                traversal: t,
+                traversal: t.clone(),
                 from,
                 to,
             });
@@ -144,32 +153,44 @@ impl<'p, P: DocumentProvider + ?Sized> Resolver<'p, P> {
         &self,
         linkbase: &Linkbase,
     ) -> Result<(Vec<ResolvedTraversal>, Vec<XLinkError>), XLinkError> {
+        let mut memo = EndpointMemo::default();
         let mut ok = Vec::new();
         let mut failed = Vec::new();
-        for t in linkbase.traversals()? {
-            let from = match self.resolve_endpoint(&t.from) {
-                Ok(e) => e,
-                Err(e) => {
-                    failed.push(e);
-                    continue;
-                }
-            };
-            let to = match self.resolve_endpoint(&t.to) {
-                Ok(e) => e,
-                Err(e) => {
-                    failed.push(e);
-                    continue;
-                }
-            };
-            ok.push(ResolvedTraversal {
-                traversal: t,
-                from,
-                to,
-            });
+        for t in linkbase.expanded_traversals()? {
+            let resolved = self
+                .resolve_memoized(&t.from, &mut memo)
+                .and_then(|from| Ok((from, self.resolve_memoized(&t.to, &mut memo)?)));
+            match resolved {
+                Ok((from, to)) => ok.push(ResolvedTraversal {
+                    traversal: t.clone(),
+                    from,
+                    to,
+                }),
+                Err(e) => failed.push(e),
+            }
         }
         Ok((ok, failed))
     }
+
+    /// [`resolve_endpoint`](Resolver::resolve_endpoint) through a per-call
+    /// memo keyed by href. Local endpoints need no lookup and bypass it.
+    fn resolve_memoized<'t>(
+        &self,
+        ep: &'t Endpoint,
+        memo: &mut EndpointMemo<'t>,
+    ) -> Result<ResolvedEndpoint, XLinkError> {
+        match ep {
+            Endpoint::Local(_) => self.resolve_endpoint(ep),
+            Endpoint::Remote(href) => memo
+                .entry(href)
+                .or_insert_with(|| self.resolve_endpoint(ep))
+                .clone(),
+        }
+    }
 }
+
+/// One resolution per distinct href within a single resolve call.
+type EndpointMemo<'t> = HashMap<&'t Href, Result<ResolvedEndpoint, XLinkError>>;
 
 #[cfg(test)]
 mod tests {
@@ -218,12 +239,12 @@ mod tests {
         assert_eq!(resolved.len(), 2);
         // First target: fragment #guitar inside picasso.xml.
         let guitar = &resolved[0].to;
-        assert_eq!(guitar.document, "picasso.xml");
+        assert_eq!(&*guitar.document, "picasso.xml");
         let pdoc = docs.document("picasso.xml").unwrap();
         assert_eq!(pdoc.attribute(guitar.node, "id"), Some("guitar"));
         // Second target: whole avignon.xml (root element).
         let avignon = &resolved[1].to;
-        assert_eq!(avignon.document, "avignon.xml");
+        assert_eq!(&*avignon.document, "avignon.xml");
         let adoc = docs.document("avignon.xml").unwrap();
         assert_eq!(adoc.attribute(avignon.node, "id"), Some("avignon"));
     }
@@ -297,7 +318,7 @@ mod tests {
         let lb = Linkbase::from_document(&doc, "links.xml").unwrap();
         let resolver = Resolver::new(&docs, "links.xml");
         let resolved = resolver.resolve(&lb).unwrap();
-        assert_eq!(resolved[0].from.document, "links.xml");
+        assert_eq!(&*resolved[0].from.document, "links.xml");
         assert!(resolved[0].from.href.is_none());
     }
 }

@@ -1,8 +1,11 @@
 //! Property-based tests for XLink arc expansion and href resolution.
 
-use navsep_xlink::{ExtendedLink, Href, Linkbase};
+use navsep_xlink::{
+    Endpoint, ExtendedLink, Href, Linkbase, ResolvedTraversal, Resolver, XLinkError,
+};
 use navsep_xml::Document;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 const XLINK: &str = "xmlns:xlink=\"http://www.w3.org/1999/xlink\"";
 
@@ -120,5 +123,156 @@ proptest! {
             sorted.dedup();
             sorted.len()
         });
+    }
+}
+
+/// Hrefs the random linkbases draw from: whole documents, fragments that
+/// select (`i0`, `i1`, `i2`) or select nothing (`i3`), a dangling document,
+/// same-document references and relative forms that resolve to `d2.xml`.
+const HREFS: [&str; 10] = [
+    "d0.xml",
+    "d0.xml#i0",
+    "d0.xml#i3",
+    "d1.xml",
+    "d1.xml#i1",
+    "ghost.xml",
+    "ghost.xml#i0",
+    "#i2",
+    "sub/../d2.xml#i2",
+    "./d2.xml",
+];
+
+/// One extended link: locators `(label, href)`, local resources `(label)`,
+/// arcs `(from, to, titled)`. Labels `l0..l3` may be defined; arcs may
+/// also name `l4`, which never is, so expansion can fail.
+type LinkSpec = (
+    Vec<(usize, usize)>,
+    Vec<usize>,
+    Vec<(Option<usize>, Option<usize>, bool)>,
+);
+
+fn link_spec() -> impl Strategy<Value = LinkSpec> {
+    (
+        proptest::collection::vec((0usize..4, 0usize..HREFS.len()), 0..6),
+        proptest::collection::vec(0usize..4, 0..2),
+        proptest::collection::vec(
+            (
+                proptest::option::of(0usize..5),
+                proptest::option::of(0usize..5),
+                (0usize..2).prop_map(|b| b == 1),
+            ),
+            0..4,
+        ),
+    )
+}
+
+fn linkbase_doc(links: &[LinkSpec]) -> Document {
+    let mut body = String::from("<note id=\"i2\"/>\n");
+    for (locators, resources, arcs) in links {
+        body.push_str("<link xlink:type=\"extended\">\n");
+        for (n, &(label, href)) in locators.iter().enumerate() {
+            body.push_str(&format!(
+                "<loc xlink:type=\"locator\" xlink:label=\"l{label}\" xlink:href=\"{}\" xlink:title=\"t{n}\"/>\n",
+                HREFS[href]
+            ));
+        }
+        for &label in resources {
+            body.push_str(&format!(
+                "<res xlink:type=\"resource\" xlink:label=\"l{label}\">here</res>\n"
+            ));
+        }
+        for &(from, to, titled) in arcs {
+            let mut arc = String::from("<arc xlink:type=\"arc\" xlink:arcrole=\"urn:nav:next\"");
+            if let Some(f) = from {
+                arc.push_str(&format!(" xlink:from=\"l{f}\""));
+            }
+            if let Some(t) = to {
+                arc.push_str(&format!(" xlink:to=\"l{t}\""));
+            }
+            if titled {
+                arc.push_str(" xlink:title=\"arc\"");
+            }
+            body.push_str(&arc);
+            body.push_str("/>\n");
+        }
+        body.push_str("</link>\n");
+    }
+    Document::parse(&format!("<linkbase {XLINK}>\n{body}</linkbase>"))
+        .expect("generated linkbase is well-formed")
+}
+
+/// The documents `d0`–`d2`, each present or not, plus the linkbase itself
+/// when `with_linkbase` (so same-document references can resolve).
+fn provider(
+    present: [bool; 3],
+    links: &Document,
+    with_linkbase: bool,
+) -> BTreeMap<String, Document> {
+    let bodies = [
+        r#"<doc><e id="i0"/><e id="i1"/></doc>"#,
+        r#"<doc><e id="i1"/><e id="i2"/></doc>"#,
+        r#"<doc><e id="i2"/></doc>"#,
+    ];
+    let mut docs = BTreeMap::new();
+    for (i, body) in bodies.iter().enumerate() {
+        if present[i] {
+            docs.insert(format!("d{i}.xml"), Document::parse(body).unwrap());
+        }
+    }
+    if with_linkbase {
+        docs.insert("links.xml".to_string(), links.clone());
+    }
+    docs
+}
+
+/// The specification: expand every extended link on its own and resolve
+/// its hrefs against the linkbase path (any expansion error wins), then
+/// resolve both endpoints of every traversal one by one, stopping at the
+/// first error.
+fn naive_resolve(
+    resolver: &Resolver<'_, BTreeMap<String, Document>>,
+    linkbase: &Linkbase,
+) -> Result<Vec<ResolvedTraversal>, XLinkError> {
+    let absolute = |ep: Endpoint| match ep {
+        Endpoint::Remote(h) => Endpoint::Remote(h.resolve_against(linkbase.path())),
+        local => local,
+    };
+    let mut traversals = Vec::new();
+    for link in linkbase.extended_links() {
+        traversals.extend(link.traversals()?);
+    }
+    let mut out = Vec::new();
+    for mut t in traversals {
+        t.from = absolute(t.from);
+        t.to = absolute(t.to);
+        let from = resolver.resolve_endpoint(&t.from)?;
+        let to = resolver.resolve_endpoint(&t.to)?;
+        out.push(ResolvedTraversal {
+            traversal: t,
+            from,
+            to,
+        });
+    }
+    Ok(out)
+}
+
+proptest! {
+    /// Resolver law: the memoized expansion and the one-lookup-per-href
+    /// resolution return exactly what the naive per-traversal resolution
+    /// returns — the same traversals in the same order, or the same first
+    /// error — on the first call and on every later one.
+    #[test]
+    fn memoized_resolution_equals_naive(
+        links in proptest::collection::vec(link_spec(), 1..4),
+        present in (0usize..8).prop_map(|m| [m & 1 != 0, m & 2 != 0, m & 4 != 0]),
+        with_linkbase in (0usize..2).prop_map(|b| b == 1),
+    ) {
+        let doc = linkbase_doc(&links);
+        let linkbase = Linkbase::from_document(&doc, "links.xml").unwrap();
+        let docs = provider(present, &doc, with_linkbase);
+        let resolver = Resolver::new(&docs, "links.xml");
+        let expected = naive_resolve(&resolver, &linkbase);
+        prop_assert_eq!(resolver.resolve(&linkbase), expected.clone());
+        prop_assert_eq!(resolver.resolve(&linkbase), expected);
     }
 }

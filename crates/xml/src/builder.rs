@@ -6,7 +6,7 @@
 //! would obscure the markup being produced.
 
 use crate::dom::{Document, NodeId};
-use crate::name::QName;
+use crate::name::{NameTable, QName};
 
 /// A detached, declaratively-described element tree.
 ///
@@ -98,27 +98,7 @@ impl ElementBuilder {
     /// Materializes the subtree in `doc` under `parent`; returns the new
     /// element's id.
     pub fn build(&self, doc: &mut Document, parent: NodeId) -> NodeId {
-        let id = doc.create_element(parent, self.name.clone());
-        for (prefix, uri) in &self.namespaces {
-            doc.declare_namespace(id, prefix.clone(), uri.clone());
-        }
-        for (name, value) in &self.attrs {
-            doc.set_attribute(id, name.clone(), value.clone());
-        }
-        for c in &self.children {
-            match c {
-                BuilderNode::Element(e) => {
-                    e.build(doc, id);
-                }
-                BuilderNode::Text(t) => {
-                    doc.create_text(id, t.clone());
-                }
-                BuilderNode::Comment(t) => {
-                    doc.create_comment(id, t.clone());
-                }
-            }
-        }
-        id
+        self.build_with(doc, Some(parent), &mut QName::clone)
     }
 
     /// Materializes the subtree as a *detached* node in `doc` (no parent);
@@ -126,17 +106,42 @@ impl ElementBuilder {
     /// [`Document::insert_child_at`]. Used by the aspect weaver to graft
     /// advice fragments at arbitrary positions.
     pub fn build_detached(&self, doc: &mut Document) -> NodeId {
-        let id = doc.create_detached_element(self.name.clone());
+        self.build_with(doc, None, &mut QName::clone)
+    }
+
+    /// Materializes the subtree as the root element of a fresh document,
+    /// whose elements and attributes share one string per distinct name.
+    pub fn build_document(&self) -> Document {
+        let mut doc = Document::new();
+        let parent = doc.document_node();
+        let mut names = NameTable::default();
+        self.build_with(&mut doc, Some(parent), &mut |name| names.share(name));
+        doc
+    }
+
+    /// Builds the subtree under `parent` (detached when `None`), taking
+    /// each name through `name_of`.
+    fn build_with(
+        &self,
+        doc: &mut Document,
+        parent: Option<NodeId>,
+        name_of: &mut impl FnMut(&QName) -> QName,
+    ) -> NodeId {
+        let name = name_of(&self.name);
+        let id = match parent {
+            Some(parent) => doc.create_element(parent, name),
+            None => doc.create_detached_element(name),
+        };
         for (prefix, uri) in &self.namespaces {
             doc.declare_namespace(id, prefix.clone(), uri.clone());
         }
         for (name, value) in &self.attrs {
-            doc.set_attribute(id, name.clone(), value.clone());
+            doc.set_attribute(id, name_of(name), value.clone());
         }
         for c in &self.children {
             match c {
                 BuilderNode::Element(e) => {
-                    e.build(doc, id);
+                    e.build_with(doc, Some(id), name_of);
                 }
                 BuilderNode::Text(t) => {
                     doc.create_text(id, t.clone());
@@ -147,14 +152,6 @@ impl ElementBuilder {
             }
         }
         id
-    }
-
-    /// Materializes the subtree as the root element of a fresh document.
-    pub fn build_document(&self) -> Document {
-        let mut doc = Document::new();
-        let parent = doc.document_node();
-        self.build(&mut doc, parent);
-        doc
     }
 }
 

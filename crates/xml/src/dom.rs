@@ -184,6 +184,17 @@ impl Document {
         }
     }
 
+    /// For a document that will not grow again: gives the node arena's
+    /// spare capacity back to the allocator when it exceeds an eighth of
+    /// the nodes, as the headroom an edit leaves on a small document does.
+    /// On a large document the reallocation would copy the whole arena to
+    /// save a few percent of it, so the headroom stays.
+    pub fn release_headroom(&mut self) {
+        if self.nodes.capacity() - self.nodes.len() > self.nodes.len() / 8 {
+            self.nodes.shrink_to_fit();
+        }
+    }
+
     /// The synthetic document node (always present).
     pub fn document_node(&self) -> NodeId {
         NodeId(0)

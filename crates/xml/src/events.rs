@@ -29,7 +29,9 @@
 use crate::dom::Attribute;
 use crate::error::{ParseXmlError, TextPos, XmlErrorKind};
 use crate::escape::{is_xml_char, parse_char_ref, predefined_entity};
-use crate::name::{is_name_char, is_name_start_char, NamespaceDecl, NamespaceStack, QName};
+use crate::name::{
+    is_name_char, is_name_start_char, NameTable, NamespaceDecl, NamespaceStack, QName,
+};
 use crate::reader::MAX_DEPTH;
 
 /// One markup event pulled from an [`EventReader`].
@@ -99,6 +101,8 @@ pub struct EventReader<'a> {
     started: bool,
     saw_root: bool,
     finished: bool,
+    /// The names read so far, shared across the parsed document.
+    names: NameTable,
 }
 
 impl<'a> EventReader<'a> {
@@ -116,6 +120,7 @@ impl<'a> EventReader<'a> {
             started: false,
             saw_root: false,
             finished: false,
+            names: NameTable::default(),
         }
     }
 
@@ -562,27 +567,37 @@ impl<'a> EventReader<'a> {
 
     // ---- names and values ------------------------------------------------
 
-    fn resolve_element_name(&self, prefix: &str, local: &str) -> Result<QName, ParseXmlError> {
+    fn resolve_element_name(&mut self, prefix: &str, local: &str) -> Result<QName, ParseXmlError> {
+        let names = &mut self.names;
         if prefix.is_empty() {
             Ok(match self.ns.default_namespace() {
-                Some(uri) => QName::in_default_namespace(local, uri),
-                None => QName::new(local),
+                Some(uri) => QName::in_default_namespace(names.intern(local), names.intern(uri)),
+                None => QName::new(names.intern(local)),
             })
         } else {
             match self.ns.resolve(prefix) {
-                Some(uri) => Ok(QName::with_namespace(prefix, local, uri)),
+                Some(uri) => Ok(QName::with_namespace(
+                    names.intern(prefix),
+                    names.intern(local),
+                    names.intern(uri),
+                )),
                 None => Err(self.err(XmlErrorKind::UnboundPrefix(prefix.to_string()))),
             }
         }
     }
 
-    fn resolve_attr_name(&self, prefix: &str, local: &str) -> Result<QName, ParseXmlError> {
+    fn resolve_attr_name(&mut self, prefix: &str, local: &str) -> Result<QName, ParseXmlError> {
+        let names = &mut self.names;
         if prefix.is_empty() {
             // Default namespace does not apply to attributes.
-            Ok(QName::new(local))
+            Ok(QName::new(names.intern(local)))
         } else {
             match self.ns.resolve(prefix) {
-                Some(uri) => Ok(QName::with_namespace(prefix, local, uri)),
+                Some(uri) => Ok(QName::with_namespace(
+                    names.intern(prefix),
+                    names.intern(local),
+                    names.intern(uri),
+                )),
                 None => Err(self.err(XmlErrorKind::UnboundPrefix(prefix.to_string()))),
             }
         }

@@ -5,7 +5,9 @@
 //! namespace URIs by `xmlns` / `xmlns:p` declarations that scope over the
 //! declaring element's subtree.
 
+use std::collections::HashSet;
 use std::fmt;
+use std::sync::Arc;
 
 /// Namespace URI reserved for the `xml` prefix (e.g. `xml:id`, `xml:lang`).
 pub const XML_NS: &str = "http://www.w3.org/XML/1998/namespace";
@@ -20,6 +22,9 @@ pub const XMLNS_NS: &str = "http://www.w3.org/2000/xmlns/";
 /// serialization detail. [`QName::matches`] implements that comparison, while
 /// `PartialEq` on the whole struct is strict (prefix included) so that
 /// round-trip tests can be exact.
+///
+/// The parts are shared strings: a document clone copies one name per
+/// element and attribute, and each copy is a reference-count bump.
 ///
 /// # Examples
 ///
@@ -36,16 +41,17 @@ pub const XMLNS_NS: &str = "http://www.w3.org/2000/xmlns/";
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct QName {
-    prefix: String,
-    local: String,
-    namespace: Option<String>,
+    /// `None` when unprefixed (never `Some("")`).
+    prefix: Option<Arc<str>>,
+    local: Arc<str>,
+    namespace: Option<Arc<str>>,
 }
 
 impl QName {
     /// Creates an unprefixed name in no namespace (the common case).
-    pub fn new(local: impl Into<String>) -> Self {
+    pub fn new(local: impl Into<Arc<str>>) -> Self {
         QName {
-            prefix: String::new(),
+            prefix: None,
             local: local.into(),
             namespace: None,
         }
@@ -53,21 +59,25 @@ impl QName {
 
     /// Creates a name with an explicit prefix and resolved namespace URI.
     pub fn with_namespace(
-        prefix: impl Into<String>,
-        local: impl Into<String>,
-        namespace: impl Into<String>,
+        prefix: impl Into<Arc<str>>,
+        local: impl Into<Arc<str>>,
+        namespace: impl Into<Arc<str>>,
     ) -> Self {
+        let prefix: Arc<str> = prefix.into();
         QName {
-            prefix: prefix.into(),
+            prefix: (!prefix.is_empty()).then_some(prefix),
             local: local.into(),
             namespace: Some(namespace.into()),
         }
     }
 
     /// Creates an unprefixed name bound to a default namespace URI.
-    pub fn in_default_namespace(local: impl Into<String>, namespace: impl Into<String>) -> Self {
+    pub fn in_default_namespace(
+        local: impl Into<Arc<str>>,
+        namespace: impl Into<Arc<str>>,
+    ) -> Self {
         QName {
-            prefix: String::new(),
+            prefix: None,
             local: local.into(),
             namespace: Some(namespace.into()),
         }
@@ -75,7 +85,7 @@ impl QName {
 
     /// The lexical prefix; empty string when the name is unprefixed.
     pub fn prefix(&self) -> &str {
-        &self.prefix
+        self.prefix.as_deref().unwrap_or("")
     }
 
     /// The local part of the name.
@@ -90,16 +100,12 @@ impl QName {
 
     /// Semantic comparison: namespace URI + local part, ignoring the prefix.
     pub fn matches(&self, namespace: Option<&str>, local: &str) -> bool {
-        self.local == local && self.namespace.as_deref() == namespace
+        &*self.local == local && self.namespace.as_deref() == namespace
     }
 
     /// The name as written in markup: `prefix:local` or just `local`.
     pub fn as_markup(&self) -> String {
-        if self.prefix.is_empty() {
-            self.local.clone()
-        } else {
-            format!("{}:{}", self.prefix, self.local)
-        }
+        self.to_string()
     }
 
     /// Splits a lexical name into `(prefix, local)`.
@@ -123,10 +129,9 @@ impl QName {
 
 impl fmt::Display for QName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.prefix.is_empty() {
-            write!(f, "{}", self.local)
-        } else {
-            write!(f, "{}:{}", self.prefix, self.local)
+        match &self.prefix {
+            None => write!(f, "{}", self.local),
+            Some(prefix) => write!(f, "{prefix}:{}", self.local),
         }
     }
 }
@@ -137,11 +142,39 @@ impl From<&str> for QName {
         match QName::split_lexical(s) {
             Some(("", local)) => QName::new(local),
             Some((prefix, local)) => QName {
-                prefix: prefix.to_string(),
-                local: local.to_string(),
+                prefix: Some(Arc::from(prefix)),
+                local: Arc::from(local),
                 namespace: None,
             },
             None => QName::new(s),
+        }
+    }
+}
+
+/// The strings of the names one document is parsed or built from, each
+/// distinct name part and namespace URI allocated once. A document whose
+/// names share their strings is copied and dropped with a few reference
+/// counts on hot strings, not one allocation per name.
+#[derive(Debug, Default)]
+pub(crate) struct NameTable(HashSet<Arc<str>>);
+
+impl NameTable {
+    /// The shared copy of `s`, added on first sight.
+    pub(crate) fn intern(&mut self, s: &str) -> Arc<str> {
+        if let Some(shared) = self.0.get(s) {
+            return Arc::clone(shared);
+        }
+        let shared: Arc<str> = Arc::from(s);
+        self.0.insert(Arc::clone(&shared));
+        shared
+    }
+
+    /// `name` with every part taken from the table.
+    pub(crate) fn share(&mut self, name: &QName) -> QName {
+        QName {
+            prefix: name.prefix.as_deref().map(|p| self.intern(p)),
+            local: self.intern(&name.local),
+            namespace: name.namespace.as_deref().map(|n| self.intern(n)),
         }
     }
 }
