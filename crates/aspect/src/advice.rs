@@ -35,10 +35,6 @@ impl fmt::Display for AdvicePosition {
 /// Produces advice content for a specific join point.
 pub type ContentFn = Arc<dyn Fn(&JoinPoint<'_>) -> Vec<ElementBuilder> + Send + Sync>;
 
-/// Produces advice content from the page path alone (no document access) —
-/// the streamable subset of [`ContentFn`].
-pub type PageContentFn = Arc<dyn Fn(&str) -> Vec<ElementBuilder> + Send + Sync>;
-
 /// The content an advice inserts.
 #[derive(Clone)]
 pub enum AdviceContent {
@@ -46,13 +42,9 @@ pub enum AdviceContent {
     Fragment(Vec<ElementBuilder>),
     /// Plain text.
     Text(String),
-    /// Content computed per join point — the function sees the whole
-    /// document, so rules carrying it force the DOM weave path.
+    /// Content computed per join point (the function sees the page path
+    /// and the whole document).
     Generated(ContentFn),
-    /// Content computed from the page path only — e.g. navigation links that
-    /// depend on *which* page is being woven but not on its contents (the
-    /// navsep navigation aspect). Streamable: realizable without a DOM.
-    PageGenerated(PageContentFn),
 }
 
 impl fmt::Debug for AdviceContent {
@@ -64,7 +56,6 @@ impl fmt::Debug for AdviceContent {
                 .finish(),
             AdviceContent::Text(t) => f.debug_tuple("Text").field(t).finish(),
             AdviceContent::Generated(_) => f.write_str("Generated(<fn>)"),
-            AdviceContent::PageGenerated(_) => f.write_str("PageGenerated(<fn>)"),
         }
     }
 }
@@ -76,20 +67,6 @@ impl AdviceContent {
             AdviceContent::Fragment(els) => Realized::Elements(els.clone()),
             AdviceContent::Text(t) => Realized::Text(t.clone()),
             AdviceContent::Generated(f) => Realized::Elements(f(jp)),
-            AdviceContent::PageGenerated(f) => Realized::Elements(f(jp.page)),
-        }
-    }
-
-    /// Materializes the content knowing only the page path. `None` for
-    /// [`AdviceContent::Generated`], which needs the whole document — the
-    /// streaming weaver never takes this path for such rules (streamability
-    /// analysis routes them to the DOM weaver first).
-    pub fn realize_for_page(&self, page: &str) -> Option<Realized> {
-        match self {
-            AdviceContent::Fragment(els) => Some(Realized::Elements(els.clone())),
-            AdviceContent::Text(t) => Some(Realized::Text(t.clone())),
-            AdviceContent::Generated(_) => None,
-            AdviceContent::PageGenerated(f) => Some(Realized::Elements(f(page))),
         }
     }
 }
@@ -139,18 +116,6 @@ impl Advice {
             content: AdviceContent::Generated(Arc::new(f)),
         }
     }
-
-    /// Creates an advice whose content is computed from the page path alone
-    /// (streamable, unlike [`Advice::generated`]).
-    pub fn page_generated(
-        position: AdvicePosition,
-        f: impl Fn(&str) -> Vec<ElementBuilder> + Send + Sync + 'static,
-    ) -> Self {
-        Advice {
-            position,
-            content: AdviceContent::PageGenerated(Arc::new(f)),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -191,34 +156,6 @@ mod tests {
             built.text_content(built.root_element().unwrap()),
             "painting-guitar.html"
         );
-    }
-
-    #[test]
-    fn page_generated_realizes_with_and_without_a_document() {
-        let adv = Advice::page_generated(AdvicePosition::Append, |page| {
-            vec![ElementBuilder::new("span").text(page.to_string())]
-        });
-        // Without a document (the streaming path):
-        let Some(Realized::Elements(els)) = adv.content.realize_for_page("p.html") else {
-            panic!("page-generated content must realize from the page path");
-        };
-        let built = els[0].build_document();
-        assert_eq!(built.text_content(built.root_element().unwrap()), "p.html");
-        // With one (the DOM path) — identical result:
-        let doc = Document::parse("<a/>").unwrap();
-        let jp = JoinPoint {
-            page: "p.html",
-            doc: &doc,
-            element: doc.root_element().unwrap(),
-        };
-        let Realized::Elements(els) = adv.content.realize(&jp) else {
-            panic!()
-        };
-        let built = els[0].build_document();
-        assert_eq!(built.text_content(built.root_element().unwrap()), "p.html");
-        // Document-dependent content refuses the page-only path.
-        let gen = Advice::generated(AdvicePosition::Append, |_| vec![]);
-        assert!(gen.content.realize_for_page("p.html").is_none());
     }
 
     #[test]

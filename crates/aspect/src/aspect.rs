@@ -101,21 +101,6 @@ impl Aspect {
         self
     }
 
-    /// Adds a rule whose content is computed from the page path alone
-    /// (streamable, unlike `generated_rule`).
-    pub fn page_generated_rule(
-        mut self,
-        pointcut: Pointcut,
-        position: AdvicePosition,
-        f: impl Fn(&str) -> Vec<ElementBuilder> + Send + Sync + 'static,
-    ) -> Self {
-        self.rules.push(AdviceRule {
-            pointcut,
-            advice: Advice::page_generated(position, f),
-        });
-        self
-    }
-
     /// Adds a pre-built rule.
     pub fn push_rule(mut self, rule: AdviceRule) -> Self {
         self.rules.push(rule);
@@ -144,15 +129,11 @@ impl Aspect {
             .any(|r| r.advice.position == AdvicePosition::ReplaceContent)
     }
 
-    /// Whether any rule uses generated (join-point- or page-dependent)
-    /// content.
+    /// Whether any rule uses generated (join-point-dependent) content.
     pub fn is_dynamic(&self) -> bool {
-        self.rules.iter().any(|r| {
-            matches!(
-                r.advice.content,
-                AdviceContent::Generated(_) | AdviceContent::PageGenerated(_)
-            )
-        })
+        self.rules
+            .iter()
+            .any(|r| matches!(r.advice.content, AdviceContent::Generated(_)))
     }
 }
 

@@ -306,11 +306,6 @@ impl CompiledWeaver {
         &self.aspects
     }
 
-    /// Aspect application order (precedence, then registration).
-    pub(crate) fn apply_order(&self) -> &[usize] {
-        &self.order
-    }
-
     /// Compiled pointcuts for the aspect at `index`, in rule order.
     pub fn rule_plans(&self, index: usize) -> &[CompiledPointcut] {
         &self.plans[index]

@@ -3,7 +3,7 @@
 //! equivalent to the tangled baseline.
 
 use navsep_bench::{banner, print_table, Setup};
-use navsep_core::{assert_site_equivalent, weave_separated_cached, WeaveCache};
+use navsep_core::{assert_site_equivalent, Weave, WeaveCache};
 use navsep_hypermodel::AccessStructureKind;
 
 fn main() {
@@ -32,7 +32,12 @@ fn main() {
         let setup = Setup::paper(access);
         let tangled = setup.tangled();
         let sources = setup.separated();
-        let woven = weave_separated_cached(&sources, &cache).expect("pipeline");
+        let woven = Weave {
+            cache: Some(&cache),
+            ..Weave::default()
+        }
+        .run(&sources)
+        .expect("pipeline");
 
         let rows: Vec<Vec<String>> = woven
             .reports

@@ -19,16 +19,14 @@ use crate::error::CoreError;
 use crate::fault::{self, FaultPlan};
 use crate::fragments::{index_list, nav_block, IndexItem, NavAnchor};
 use crate::layout::{data_to_page, ASPECTS_PATH, LINKBASE_PATH, TRANSFORM_PATH};
-use bytes::Bytes;
 use navsep_aspect::{
-    AdvicePosition, Aspect, AspectCache, CompiledWeaver, Pointcut, SpecCache, StreamReport,
-    WeaveError, WeaveReport, Weaver,
+    AdvicePosition, Aspect, AspectCache, CompiledWeaver, Pointcut, SpecCache, WeaveReport, Weaver,
 };
 use navsep_hypermodel::NavLinkKind;
 use navsep_style::Transform;
-use navsep_web::{MediaType, Resource, Site};
+use navsep_web::{Resource, Site};
 use navsep_xlink::{Endpoint, Linkbase, Resolver};
-use navsep_xml::{fnv1a64, ElementBuilder, WriteOptions};
+use navsep_xml::{fnv1a64, ElementBuilder};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -172,17 +170,13 @@ pub fn navigation_aspect(map: BTreeMap<String, PageNav>) -> Aspect {
 }
 
 /// Like [`navigation_aspect`], but over a shared (e.g. cached) map, so a
-/// reweave does not re-expand the linkbase.
-///
-/// The rule is *page-generated*: its content depends only on which page is
-/// being woven, never on the page's contents, so the navigation aspect is
-/// streamable ([`weave_separated_streaming`] weaves it without building a
-/// DOM per page).
+/// reweave does not re-expand the linkbase. The advice depends only on
+/// which page is being woven, never on the page's contents.
 pub fn navigation_aspect_shared(map: Arc<BTreeMap<String, PageNav>>) -> Aspect {
-    Aspect::new("navigation").page_generated_rule(
+    Aspect::new("navigation").generated_rule(
         Pointcut::Element("body".to_string()),
         AdvicePosition::Append,
-        move |page| map.get(page).map(PageNav::fragments).unwrap_or_default(),
+        move |jp| map.get(jp.page).map(PageNav::fragments).unwrap_or_default(),
     )
 }
 
@@ -206,7 +200,7 @@ pub fn navigation_aspect_shared(map: Arc<BTreeMap<String, PageNav>>) -> Aspect {
 ///
 /// ```
 /// use navsep_core::museum::{museum_navigation, paper_museum};
-/// use navsep_core::pipeline::{weave_separated_cached, WeaveCache};
+/// use navsep_core::pipeline::{Weave, WeaveCache};
 /// use navsep_core::separated::separated_sources;
 /// use navsep_core::spec::paper_spec;
 /// use navsep_hypermodel::AccessStructureKind;
@@ -217,8 +211,9 @@ pub fn navigation_aspect_shared(map: Arc<BTreeMap<String, PageNav>>) -> Aspect {
 ///     &paper_spec(AccessStructureKind::Index),
 /// )?;
 /// let cache = WeaveCache::new();
-/// let first = weave_separated_cached(&sources, &cache)?;   // compiles specs
-/// let again = weave_separated_cached(&sources, &cache)?;   // pure cache hits
+/// let cached = Weave { cache: Some(&cache), ..Weave::default() };
+/// let first = cached.run(&sources)?; // compiles specs
+/// let again = cached.run(&sources)?; // pure cache hits
 /// assert_eq!(first.site.len(), again.site.len());
 /// assert!(cache.hits() >= 3); // transform + linkbase + navigation map
 /// # Ok::<(), navsep_core::CoreError>(())
@@ -278,17 +273,6 @@ impl WeaveCache {
     }
 }
 
-/// The compiled specs one weave runs with — either freshly compiled or
-/// pulled from a [`WeaveCache`].
-struct CompiledSpecs {
-    transform: Arc<Transform>,
-    nav_map: Arc<BTreeMap<String, PageNav>>,
-    site_aspects: Arc<Vec<Aspect>>,
-    /// The compiled weaver for (navigation aspect + site aspects), fetched
-    /// from the cache when one was supplied.
-    weaver: Option<Arc<CompiledWeaver>>,
-}
-
 /// The weaver every weave starts from: the navigation aspect plus the
 /// site-defined aspects, in that registration order.
 fn base_weaver(nav_map: &Arc<BTreeMap<String, PageNav>>, site_aspects: &[Aspect]) -> Weaver {
@@ -299,9 +283,15 @@ fn base_weaver(nav_map: &Arc<BTreeMap<String, PageNav>>, site_aspects: &[Aspect]
     weaver
 }
 
-/// Compiles (or fetches) every spec in `sources`, then validates locator
-/// resolution against the current data set.
-fn compile_specs(sources: &Site, cache: Option<&WeaveCache>) -> Result<CompiledSpecs, CoreError> {
+/// Compiles (or fetches from `cache`) every spec in `sources`, validates
+/// locator resolution against the current data set, and returns the
+/// transform plus the compiled weaver for (navigation aspect + site aspects
+/// + `extra_aspects`).
+fn compile_specs(
+    sources: &Site,
+    cache: &WeaveCache,
+    extra_aspects: &[Aspect],
+) -> Result<(Arc<Transform>, Arc<CompiledWeaver>), CoreError> {
     let transform_doc = sources
         .get(TRANSFORM_PATH)
         .and_then(Resource::document)
@@ -311,31 +301,21 @@ fn compile_specs(sources: &Site, cache: Option<&WeaveCache>) -> Result<CompiledS
         .and_then(Resource::document)
         .ok_or_else(|| CoreError::Pipeline(format!("missing {LINKBASE_PATH}")))?;
 
-    let (transform, linkbase, nav_map) = match cache {
-        Some(cache) => {
-            // `content_hash` is memoized on the documents themselves, so a
-            // steady-state reweave looks both keys up without serializing
-            // (let alone re-hashing) either spec.
-            let transform_key = transform_doc.content_hash();
-            let transform = cache.transforms.get_or_try_insert(transform_key, || {
-                Transform::from_document(transform_doc).map_err(CoreError::Template)
-            })?;
-            let links_key = links_doc.content_hash();
-            let linkbase = cache.linkbases.get_or_try_insert(links_key, || {
-                Linkbase::from_document(links_doc, LINKBASE_PATH).map_err(CoreError::XLink)
-            })?;
-            let nav_map = cache
-                .navigation
-                .get_or_try_insert(links_key, || navigation_map(&linkbase))?;
-            (transform, linkbase, nav_map)
-        }
-        None => {
-            let transform = Arc::new(Transform::from_document(transform_doc)?);
-            let linkbase = Arc::new(Linkbase::from_document(links_doc, LINKBASE_PATH)?);
-            let nav_map = Arc::new(navigation_map(&linkbase)?);
-            (transform, linkbase, nav_map)
-        }
-    };
+    // `content_hash` is memoized on the documents themselves, so a
+    // steady-state reweave looks both keys up without serializing (let
+    // alone re-hashing) either spec.
+    let transform = cache
+        .transforms
+        .get_or_try_insert(transform_doc.content_hash(), || {
+            Transform::from_document(transform_doc).map_err(CoreError::Template)
+        })?;
+    let links_key = links_doc.content_hash();
+    let linkbase = cache.linkbases.get_or_try_insert(links_key, || {
+        Linkbase::from_document(links_doc, LINKBASE_PATH).map_err(CoreError::XLink)
+    })?;
+    let nav_map = cache
+        .navigation
+        .get_or_try_insert(links_key, || navigation_map(&linkbase))?;
 
     // Validate every locator resolves against the *current* data set before
     // weaving — never cached; the data may have changed under a cached
@@ -344,50 +324,39 @@ fn compile_specs(sources: &Site, cache: Option<&WeaveCache>) -> Result<CompiledS
 
     // Site-defined aspects (paper §7 future work): aspects.xml, if present,
     // contributes further concerns to the weave.
-    let site_aspects = match sources.get(ASPECTS_PATH).and_then(Resource::document) {
-        Some(doc) => match cache {
-            Some(cache) => cache
-                .aspects
-                .get_or_parse(doc)
-                .map_err(|e| CoreError::Pipeline(format!("bad {ASPECTS_PATH}: {e}")))?,
-            None => Arc::new(
-                navsep_aspect::parse_aspects(doc)
-                    .map_err(|e| CoreError::Pipeline(format!("bad {ASPECTS_PATH}: {e}")))?,
-            ),
-        },
+    let aspects_doc = sources.get(ASPECTS_PATH).and_then(Resource::document);
+    let site_aspects = match aspects_doc {
+        Some(doc) => cache
+            .aspects
+            .get_or_parse(doc)
+            .map_err(|e| CoreError::Pipeline(format!("bad {ASPECTS_PATH}: {e}")))?,
         None => Arc::new(Vec::new()),
     };
 
+    // Extra aspects change the weave, so they force a fresh compile.
+    if !extra_aspects.is_empty() {
+        let mut weaver = base_weaver(&nav_map, &site_aspects);
+        for a in extra_aspects {
+            weaver.add_aspect(a.clone());
+        }
+        return Ok((transform, Arc::new(weaver.compile())));
+    }
     // The compiled weaver is a function of the linkbase (navigation aspect)
     // and aspects.xml, so its cache key is derived from both content hashes
     // (with a marker distinguishing "no aspects.xml" from any hash value).
-    let weaver = match cache {
-        Some(cache) => {
-            let aspects_key = sources
-                .get(ASPECTS_PATH)
-                .and_then(Resource::document)
-                .map(navsep_xml::Document::content_hash);
-            let mut key_bytes = Vec::with_capacity(17);
-            key_bytes.extend_from_slice(&links_doc.content_hash().to_le_bytes());
-            key_bytes.extend_from_slice(&aspects_key.unwrap_or(0).to_le_bytes());
-            key_bytes.push(u8::from(aspects_key.is_some()));
-            let weaver = cache.weavers.get_or_try_insert(fnv1a64(&key_bytes), || {
-                Ok::<_, CoreError>(base_weaver(&nav_map, &site_aspects).compile())
-            })?;
-            Some(weaver)
-        }
-        None => None,
-    };
-
-    Ok(CompiledSpecs {
-        transform,
-        nav_map,
-        site_aspects,
-        weaver,
-    })
+    let aspects_key = aspects_doc.map(navsep_xml::Document::content_hash);
+    let mut key_bytes = Vec::with_capacity(17);
+    key_bytes.extend_from_slice(&links_key.to_le_bytes());
+    key_bytes.extend_from_slice(&aspects_key.unwrap_or(0).to_le_bytes());
+    key_bytes.push(u8::from(aspects_key.is_some()));
+    let weaver = cache.weavers.get_or_try_insert(fnv1a64(&key_bytes), || {
+        Ok::<_, CoreError>(base_weaver(&nav_map, &site_aspects).compile())
+    })?;
+    Ok((transform, weaver))
 }
 
-/// Runs the full pipeline: separated sources in, woven site out.
+/// Runs the full pipeline: separated sources in, woven site out — the
+/// paper's Figure 6 in one call, `Weave::default().run(sources)`.
 ///
 /// # Errors
 ///
@@ -395,160 +364,187 @@ fn compile_specs(sources: &Site, cache: Option<&WeaveCache>) -> Result<CompiledS
 ///   or a locator points outside the data set;
 /// * template, XLink, and weave errors from the respective stages.
 pub fn weave_separated(sources: &Site) -> Result<WovenOutput, CoreError> {
-    weave_separated_with(sources, &[])
+    Weave::default().run(sources)
 }
 
-/// Like [`weave_separated`], but composes `extra_aspects` (e.g. a banner or
-/// audit concern) with the navigation aspect.
+/// One run of the pipeline, with every knob it has. The default is the
+/// paper's plain weave: fresh specs, one worker (the caller's thread), no
+/// faults, no extra aspects, every page.
 ///
-/// # Errors
+/// # Examples
 ///
-/// See [`weave_separated`].
-pub fn weave_separated_with(
-    sources: &Site,
-    extra_aspects: &[Aspect],
-) -> Result<WovenOutput, CoreError> {
-    weave_impl(sources, extra_aspects, None)
+/// ```
+/// use navsep_core::museum::{museum_navigation, paper_museum};
+/// use navsep_core::pipeline::{Weave, WeaveCache};
+/// use navsep_core::separated::separated_sources;
+/// use navsep_core::spec::paper_spec;
+/// use navsep_hypermodel::AccessStructureKind;
+///
+/// let sources = separated_sources(
+///     &paper_museum(),
+///     &museum_navigation(),
+///     &paper_spec(AccessStructureKind::Index),
+/// )?;
+/// let cache = WeaveCache::new();
+/// let weave = Weave { cache: Some(&cache), workers: 2, ..Weave::default() };
+/// let first = weave.run(&sources)?; // compiles specs
+/// let again = weave.run(&sources)?; // pure cache hits
+/// assert_eq!(first.site.len(), again.site.len());
+/// assert!(cache.hits() >= 3); // transform + linkbase + navigation map
+/// # Ok::<(), navsep_core::CoreError>(())
+/// ```
+#[derive(Debug)]
+pub struct Weave<'a> {
+    /// Where compiled specs are fetched from and stored into, so a reweave
+    /// of unchanged specs skips every parse. `None` compiles into a fresh
+    /// cache that dies with the run.
+    pub cache: Option<&'a WeaveCache>,
+    /// Threads the pages are dealt to, round-robin. With 1 the pages are
+    /// woven on the caller's thread. Must not be zero.
+    pub workers: usize,
+    /// Consulted at [`fault::sites::WEAVE_PAGE`] before each page weave.
+    pub faults: Option<&'a FaultPlan>,
+    /// Aspects composed after the navigation aspect and `aspects.xml`
+    /// (e.g. a banner or audit concern).
+    pub extra_aspects: &'a [Aspect],
+    /// Data-document paths (like `guitar.xml`) to weave instead of every
+    /// page. Spec compilation and locator validation still cover the whole
+    /// site; the output holds only these pages, with no raw passthroughs.
+    pub pages: Option<&'a [String]>,
 }
 
-/// Like [`weave_separated`], but compiled specs (transform, linkbase,
-/// navigation map, aspects) are fetched from — and on first use stored
-/// into — `cache`, so a reweave of unchanged specs skips every parse.
-///
-/// The output is identical to [`weave_separated`] (asserted by tests);
-/// only the constant factor changes.
-///
-/// # Errors
-///
-/// See [`weave_separated`].
-pub fn weave_separated_cached(
-    sources: &Site,
-    cache: &WeaveCache,
-) -> Result<WovenOutput, CoreError> {
-    weave_impl(sources, &[], Some(cache))
-}
-
-/// Weaves **only** the pages derived from `data_paths` (data-document
-/// paths like `guitar.xml`), fetching compiled specs from `cache` — the
-/// page-level reweave behind [`crate::publish::SitePublisher`]'s
-/// incremental commit path: a K-page edit transforms and weaves K pages,
-/// not the whole site.
-///
-/// Spec compilation and locator validation behave exactly as in
-/// [`weave_separated_cached`] (the linkbase is still validated against the
-/// *entire* current data set); only the transformed/woven page set is
-/// restricted. Each output triple is `(page_path, woven_page, report)`.
-///
-/// # Errors
-///
-/// As [`weave_separated`], plus [`CoreError::Pipeline`] when a requested
-/// path is not a data document in `sources`.
-pub fn weave_pages_cached(
-    sources: &Site,
-    cache: &WeaveCache,
-    data_paths: &[String],
-) -> Result<Vec<(String, navsep_xml::Document, WeaveReport)>, CoreError> {
-    let specs = compile_specs(sources, Some(cache))?;
-    let weaver = specs
-        .weaver
-        .clone()
-        .unwrap_or_else(|| Arc::new(base_weaver(&specs.nav_map, &specs.site_aspects).compile()));
-    let mut out = Vec::with_capacity(data_paths.len());
-    for path in data_paths {
-        let page_path = data_to_page(path)
-            .ok_or_else(|| CoreError::Pipeline(format!("{path:?} is not a data-document path")))?;
-        let doc = sources
-            .get(path)
-            .and_then(Resource::document)
-            .ok_or_else(|| CoreError::Pipeline(format!("no data document at {path:?}")))?;
-        let base = specs.transform.apply(doc)?;
-        let (woven, report) = weaver.weave_page(&page_path, &base)?;
-        out.push((page_path, woven, report));
+impl Default for Weave<'_> {
+    fn default() -> Self {
+        Weave {
+            cache: None,
+            workers: 1,
+            faults: None,
+            extra_aspects: &[],
+            pages: None,
+        }
     }
-    Ok(out)
 }
 
-/// Cached variant of [`weave_separated_with`].
-///
-/// # Errors
-///
-/// See [`weave_separated`].
-pub fn weave_separated_cached_with(
-    sources: &Site,
-    extra_aspects: &[Aspect],
-    cache: &WeaveCache,
-) -> Result<WovenOutput, CoreError> {
-    weave_impl(sources, extra_aspects, Some(cache))
-}
+/// One page's weave result, keyed by page path.
+type PageResult = (
+    String,
+    Result<(Arc<navsep_xml::Document>, WeaveReport), CoreError>,
+);
 
-fn weave_impl(
-    sources: &Site,
-    extra_aspects: &[Aspect],
-    cache: Option<&WeaveCache>,
-) -> Result<WovenOutput, CoreError> {
-    let specs = compile_specs(sources, cache)?;
+impl Weave<'_> {
+    /// Weaves `sources`. The output is the same whatever `workers` is:
+    /// pages are assembled in page order, and reports come back in page
+    /// order.
+    ///
+    /// Every page weave runs under `catch_unwind`: a panicking page becomes
+    /// [`CoreError::WorkerPanic`] for that page only, and the other pages
+    /// are still woven.
+    ///
+    /// # Errors
+    ///
+    /// See [`weave_separated`]; injected faults surface as
+    /// [`CoreError::Fault`] or [`CoreError::WorkerPanic`], and a `pages`
+    /// entry that is not a data document in `sources` as
+    /// [`CoreError::Pipeline`]. When several pages fail, the error reported
+    /// is the one for the first failing page in page order, whatever
+    /// `workers` is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `workers` is zero.
+    pub fn run(&self, sources: &Site) -> Result<WovenOutput, CoreError> {
+        assert!(self.workers > 0, "need at least one worker");
+        // A fresh cache dies here, before any page is woven, so the parsed
+        // linkbase and its expanded traversals do not outlive compilation.
+        let (transform, weaver) = match self.cache {
+            Some(cache) => compile_specs(sources, cache, self.extra_aspects)?,
+            None => compile_specs(sources, &WeaveCache::new(), self.extra_aspects)?,
+        };
 
-    // Navigation: linkbase → per-page fragments → one aspect. The cached
-    // compiled weaver is reusable only for the base aspect set; extra
-    // aspects change the weave, so they force a fresh compile.
-    let weaver = match (&specs.weaver, extra_aspects.is_empty()) {
-        (Some(w), true) => Arc::clone(w),
-        _ => {
-            let mut weaver = base_weaver(&specs.nav_map, &specs.site_aspects);
-            for a in extra_aspects {
-                weaver.add_aspect(a.clone());
+        let work: Vec<(String, &navsep_xml::Document)> = match self.pages {
+            Some(paths) => paths
+                .iter()
+                .map(|path| {
+                    let page = data_to_page(path).ok_or_else(|| {
+                        CoreError::Pipeline(format!("{path:?} is not a data-document path"))
+                    })?;
+                    let doc = sources
+                        .get(path)
+                        .and_then(Resource::document)
+                        .ok_or_else(|| {
+                            CoreError::Pipeline(format!("no data document at {path:?}"))
+                        })?;
+                    Ok((page, doc))
+                })
+                .collect::<Result<_, CoreError>>()?,
+            None => sources
+                .iter()
+                .filter(|(path, _)| {
+                    *path != LINKBASE_PATH && *path != TRANSFORM_PATH && *path != ASPECTS_PATH
+                })
+                .filter_map(|(path, res)| Some((data_to_page(path)?, res.document()?)))
+                .collect(),
+        };
+
+        let weave_slice = |first: usize, step: usize| {
+            work.iter()
+                .skip(first)
+                .step_by(step)
+                .map(|(page, doc)| -> PageResult {
+                    let woven = weave_page_isolated(page, doc, &transform, &weaver, self.faults);
+                    (page.clone(), woven)
+                })
+        };
+        let workers = self.workers.min(work.len()).max(1);
+        let results: BTreeMap<String, _> = if workers == 1 {
+            weave_slice(0, 1).collect()
+        } else {
+            // Deal the pages round-robin; each worker weaves its slice
+            // independently (pages are independent).
+            std::thread::scope(|scope| {
+                let weave_slice = &weave_slice;
+                let handles: Vec<_> = (0..workers)
+                    .map(|w| scope.spawn(move || weave_slice(w, workers).collect::<Vec<_>>()))
+                    .collect();
+                handles
+                    .into_iter()
+                    .flat_map(|handle| {
+                        // Unreachable while the per-page catch_unwind holds,
+                        // but a worker lost some other way must not abort the
+                        // process: it surfaces as a first-ordered error.
+                        handle.join().unwrap_or_else(|payload| {
+                            vec![(
+                                String::new(),
+                                Err(CoreError::WorkerPanic {
+                                    path: "<worker>".to_string(),
+                                    message: panic_message(payload.as_ref()),
+                                }),
+                            )]
+                        })
+                    })
+                    .collect()
+            })
+        };
+
+        // `BTreeMap` order makes the first error the one of the first
+        // failing page in page order.
+        let mut site = Site::new();
+        let mut reports = Vec::with_capacity(results.len());
+        for (path, result) in results {
+            let (doc, report) = result?;
+            site.put_shared_document(path, doc);
+            reports.push(report);
+        }
+        // Raw resources (the CSS) pass through untouched, media type and all.
+        if self.pages.is_none() {
+            for (path, res) in sources.iter() {
+                if let Resource::Raw { .. } = res {
+                    site.put_resource(path, res.clone());
+                }
             }
-            Arc::new(weaver.compile())
         }
-    };
-
-    // The data documents, in page order.
-    let data: BTreeMap<String, &navsep_xml::Document> = sources
-        .iter()
-        .filter(|(path, _)| {
-            *path != LINKBASE_PATH && *path != TRANSFORM_PATH && *path != ASPECTS_PATH
-        })
-        .filter_map(|(path, res)| Some((data_to_page(path)?, res.document()?)))
-        .collect();
-    // Presentation, then navigation, one page at a time: a page's base is
-    // dropped as soon as it is woven, and the first failing page in page
-    // order is the one reported, as in the parallel pipeline.
-    let mut site = Site::new();
-    let mut reports = Vec::with_capacity(data.len());
-    for (page_path, doc) in data {
-        let base = specs.transform.apply(doc)?;
-        let (woven, report) = weaver.weave_page(&page_path, &base)?;
-        site.put_page(page_path, woven);
-        reports.push(report);
+        Ok(WovenOutput { site, reports })
     }
-    // Raw resources (the CSS) pass through untouched, media type and all.
-    for (path, res) in sources.iter() {
-        if let Resource::Raw { .. } = res {
-            site.put_resource(path, res.clone());
-        }
-    }
-    Ok(WovenOutput { site, reports })
-}
-
-/// Like [`weave_separated`], but transforms and weaves pages on `workers`
-/// threads. Output is identical to the sequential pipeline (asserted by
-/// tests); reports are returned in page order.
-///
-/// Every page weave runs under `catch_unwind`: a panicking page becomes
-/// [`CoreError::WorkerPanic`] for that page only — the other workers
-/// finish their slices and the scope drains normally.
-///
-/// # Errors
-///
-/// See [`weave_separated`]. When several pages fail (error or panic), the
-/// error reported is the one for the first failing page in page order —
-/// the same page the sequential pipeline would have stopped at.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn weave_separated_parallel(sources: &Site, workers: usize) -> Result<WovenOutput, CoreError> {
-    weave_separated_parallel_faulted(sources, workers, None)
 }
 
 /// Transforms and weaves one page with panic isolation: a panic anywhere in
@@ -561,11 +557,14 @@ fn weave_page_isolated(
     transform: &Transform,
     weaver: &CompiledWeaver,
     faults: Option<&FaultPlan>,
-) -> Result<(navsep_xml::Document, WeaveReport), CoreError> {
+) -> Result<(Arc<navsep_xml::Document>, WeaveReport), CoreError> {
     let attempt = catch_unwind(AssertUnwindSafe(|| {
         fault::fire(faults, fault::sites::WEAVE_PAGE, page_path).map_err(CoreError::from)?;
         let base = transform.apply(data_doc)?;
-        weaver.weave_page(page_path, &base).map_err(CoreError::from)
+        let (woven, report) = weaver.weave_page(page_path, &base)?;
+        // Shared from here on, so the results held until assembly cost a
+        // pointer per page, not a document.
+        Ok((Arc::new(woven), report))
     }));
     match attempt {
         Ok(result) => result,
@@ -574,481 +573,6 @@ fn weave_page_isolated(
             message: panic_message(payload.as_ref()),
         }),
     }
-}
-
-/// [`weave_separated_parallel`] with a [`FaultPlan`] threaded through: each
-/// page consults `faults` at [`fault::sites::WEAVE_PAGE`] before weaving.
-/// With `None` the behavior (and output, byte for byte) is exactly
-/// [`weave_separated_parallel`].
-///
-/// # Errors
-///
-/// See [`weave_separated_parallel`]; injected `Error`/`Disconnect` faults
-/// surface as [`CoreError::Fault`], injected panics as
-/// [`CoreError::WorkerPanic`], both with first-failing-page ordering.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn weave_separated_parallel_faulted(
-    sources: &Site,
-    workers: usize,
-    faults: Option<&FaultPlan>,
-) -> Result<WovenOutput, CoreError> {
-    assert!(workers > 0, "need at least one worker");
-    let specs = compile_specs(sources, None)?;
-    let transform = &specs.transform;
-    // Compile once, share across workers (CompiledWeaver is Send + Sync).
-    let weaver = base_weaver(&specs.nav_map, &specs.site_aspects).compile();
-
-    // Partition the data documents round-robin across workers; each worker
-    // transforms and weaves its slice independently (pages are independent).
-    let work: Vec<(String, &navsep_xml::Document)> = sources
-        .iter()
-        .filter(|(path, _)| {
-            *path != LINKBASE_PATH && *path != TRANSFORM_PATH && *path != ASPECTS_PATH
-        })
-        .filter_map(|(path, res)| {
-            let page = data_to_page(path)?;
-            res.document().map(|d| (page, d))
-        })
-        .collect();
-
-    type PageResult = (
-        String,
-        Result<(navsep_xml::Document, WeaveReport), CoreError>,
-    );
-    let results: Vec<PageResult> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for w in 0..workers {
-            let transform = &transform;
-            let weaver = &weaver;
-            let chunk: Vec<&(String, &navsep_xml::Document)> =
-                work.iter().skip(w).step_by(workers).collect();
-            handles.push(scope.spawn(move || {
-                let mut out: Vec<PageResult> = Vec::with_capacity(chunk.len());
-                for (page_path, data_doc) in chunk {
-                    let woven = weave_page_isolated(page_path, data_doc, transform, weaver, faults);
-                    out.push((page_path.clone(), woven));
-                }
-                out
-            }));
-        }
-        let mut all = Vec::new();
-        for handle in handles {
-            match handle.join() {
-                Ok(part) => all.extend(part),
-                // Unreachable while the per-page catch_unwind holds, but a
-                // worker lost some other way must not abort the process:
-                // surface it as a (first-ordered) error and keep draining.
-                Err(payload) => all.push((
-                    String::new(),
-                    Err(CoreError::WorkerPanic {
-                        path: "<worker>".to_string(),
-                        message: panic_message(payload.as_ref()),
-                    }),
-                )),
-            }
-        }
-        all
-    });
-
-    let mut pages: BTreeMap<String, (navsep_xml::Document, WeaveReport)> = BTreeMap::new();
-    let mut first_error: Option<(String, CoreError)> = None;
-    for (path, result) in results {
-        match result {
-            Ok(woven) => {
-                pages.insert(path, woven);
-            }
-            Err(error) => match &first_error {
-                // Keep the error of the first failing page in page order —
-                // the page the sequential pipeline would have stopped at.
-                Some((seen, _)) if *seen <= path => {}
-                _ => first_error = Some((path, error)),
-            },
-        }
-    }
-    if let Some((_, error)) = first_error {
-        return Err(error);
-    }
-    let mut site = Site::new();
-    let mut reports = Vec::with_capacity(pages.len());
-    for (path, (doc, report)) in pages {
-        site.put_page(path, doc);
-        reports.push(report);
-    }
-    for (path, res) in sources.iter() {
-        if let Resource::Raw { .. } = res {
-            site.put_resource(path, res.clone());
-        }
-    }
-    Ok(WovenOutput { site, reports })
-}
-
-/// Output of the **streaming** pipeline: like [`WovenOutput`], but pages
-/// that streamed were never materialized as a DOM — they are published as
-/// [`Resource::Raw`] bytes (media type `application/xhtml+xml`), already in
-/// exactly the form [`Resource::to_bytes`] would serialize a woven
-/// [`navsep_xml::Document`] to. Pages whose spec needs whole-document
-/// context fell back to the DOM weaver and are published as documents.
-///
-/// The equivalence law (asserted by `tests/streaming_equiv.rs` and the CI
-/// gate) is that for every page, `to_bytes()` here is byte-identical to
-/// `to_bytes()` of the sequential [`weave_separated`] output.
-#[derive(Debug)]
-pub struct StreamedOutput {
-    /// The served site (streamed pages raw, fallback pages as documents,
-    /// plus raw passthroughs).
-    pub site: Site,
-    /// One report per page, in page order. Streamed pages record events in
-    /// element order (a permutation of the DOM weaver's rule-major order);
-    /// join-point and application counts are identical.
-    pub reports: Vec<WeaveReport>,
-    /// Pages woven by the streaming path (no intermediate DOM).
-    pub pages_streamed: usize,
-    /// Pages routed through the DOM weaver by streamability analysis.
-    pub pages_fallback: usize,
-    /// Pages that *failed* in the streaming weaver (organic error or
-    /// injected fault) and were degraded to the DOM weaver instead of
-    /// erroring. Disjoint from `pages_fallback` (an analysis decision) and
-    /// `pages_streamed`; zero whenever no fault plan is armed and the
-    /// sources are healthy.
-    pub pages_degraded: usize,
-    /// Deepest open-element stack across all streamed pages.
-    pub peak_depth: usize,
-    /// Largest advice window (bytes buffered for open elements) across all
-    /// streamed pages — bounded by depth × rule window, not document size.
-    pub peak_window_bytes: usize,
-}
-
-/// How one page left the streaming pipeline.
-enum PageOut {
-    Streamed {
-        bytes: String,
-        report: StreamReport,
-    },
-    Dom {
-        doc: navsep_xml::Document,
-        report: WeaveReport,
-    },
-    /// The streaming weave failed (organic error or injected fault) and the
-    /// page was re-woven through the DOM weaver instead.
-    Degraded {
-        doc: navsep_xml::Document,
-        report: WeaveReport,
-    },
-}
-
-/// Transforms and weaves one page, streaming when the spec allows it.
-///
-/// A failure *inside the streaming weaver* — a [`StreamError`] or an
-/// injected [`fault::sites::STREAM_PAGE`] fault — degrades the page to the
-/// DOM weaver instead of erroring: the DOM weaver is the spec side of the
-/// streaming ≡ DOM equivalence law, so the degraded output is exactly what
-/// the law demands, and only a DOM-weave failure surfaces as the page's
-/// error (preserving error parity with the sequential pipeline).
-fn stream_or_weave_page(
-    page_path: &str,
-    data_doc: &navsep_xml::Document,
-    transform: &Transform,
-    weaver: &CompiledWeaver,
-    faults: Option<&FaultPlan>,
-) -> Result<PageOut, CoreError> {
-    fault::fire(faults, fault::sites::WEAVE_PAGE, page_path).map_err(CoreError::from)?;
-    let base = transform.apply(data_doc)?;
-    if weaver.streamable_for_page(page_path) {
-        // Error parity with the DOM weaver: it rejects rootless pages
-        // before touching any rule, so the streaming path must too (the
-        // reader would otherwise report a parse error instead).
-        if base.root_element().is_none() {
-            return Err(WeaveError::EmptyPage(page_path.to_string()).into());
-        }
-        let injected: Result<(), fault::FaultError> =
-            fault::fire(faults, fault::sites::STREAM_PAGE, page_path);
-        if injected.is_ok() {
-            let source = base.to_xml(&WriteOptions::default().declaration(false));
-            match weaver.streaming().weave_to_string(page_path, &source) {
-                Ok((bytes, report)) => return Ok(PageOut::Streamed { bytes, report }),
-                Err(_stream_error) => {
-                    // Fall through to the DOM weaver below.
-                }
-            }
-        }
-        let (doc, report) = weaver.weave_page(page_path, &base)?;
-        Ok(PageOut::Degraded { doc, report })
-    } else {
-        let (doc, report) = weaver.weave_page(page_path, &base)?;
-        Ok(PageOut::Dom { doc, report })
-    }
-}
-
-/// Runs the full pipeline **streaming**: pages whose compiled spec passes
-/// streamability analysis go reader-events → woven bytes with no
-/// intermediate DOM; the rest fall back to [`CompiledWeaver::weave_page`].
-/// Pages fan out across `workers` threads over bounded crossbeam channels
-/// (the bound is backpressure: a fast feeder cannot outrun the weavers by
-/// more than the channel capacity).
-///
-/// Output bytes are identical to [`weave_separated`]'s page for page, and
-/// deterministic regardless of `workers`: results are keyed by page path
-/// and assembled in `BTreeMap` order, so scheduling jitter never reorders
-/// the site or the reports.
-///
-/// # Errors
-///
-/// See [`weave_separated`]. When several pages fail, the error reported is
-/// the one for the first failing page in page order (the same page the
-/// sequential pipeline would have stopped at).
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn weave_separated_streaming(
-    sources: &Site,
-    workers: usize,
-) -> Result<StreamedOutput, CoreError> {
-    streaming_impl(sources, &[], None, workers, None)
-}
-
-/// [`weave_separated_streaming`] with a [`FaultPlan`] threaded through:
-/// pages consult `faults` at [`fault::sites::WEAVE_PAGE`] (panic / slow /
-/// error before any weave), [`fault::sites::STREAM_PAGE`] (streaming-weave
-/// failure, degraded to the DOM weaver), and
-/// [`fault::sites::CHANNEL_DISCONNECT`] (a worker abandons its channels;
-/// the in-hand page is lost and reported). With `None` the behavior is
-/// exactly [`weave_separated_streaming`].
-///
-/// # Errors
-///
-/// See [`weave_separated_streaming`]; additionally [`CoreError::WorkerPanic`]
-/// for injected panics (first-failing-page ordering preserved) and
-/// [`CoreError::Pipeline`] when disconnected workers lost pages.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn weave_separated_streaming_faulted(
-    sources: &Site,
-    workers: usize,
-    faults: Option<&FaultPlan>,
-) -> Result<StreamedOutput, CoreError> {
-    streaming_impl(sources, &[], None, workers, faults)
-}
-
-/// Cached variant of [`weave_separated_streaming_faulted`] (what
-/// [`SitePublisher::commit_streaming`](crate::SitePublisher::commit_streaming)
-/// runs under an armed plan).
-///
-/// # Errors
-///
-/// See [`weave_separated_streaming_faulted`].
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn weave_separated_streaming_cached_faulted(
-    sources: &Site,
-    cache: &WeaveCache,
-    workers: usize,
-    faults: Option<&FaultPlan>,
-) -> Result<StreamedOutput, CoreError> {
-    streaming_impl(sources, &[], Some(cache), workers, faults)
-}
-
-/// Like [`weave_separated_streaming`], but composes `extra_aspects` with
-/// the navigation aspect (forcing a fresh compile, as
-/// [`weave_separated_with`] does).
-///
-/// # Errors
-///
-/// See [`weave_separated_streaming`].
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn weave_separated_streaming_with(
-    sources: &Site,
-    extra_aspects: &[Aspect],
-    workers: usize,
-) -> Result<StreamedOutput, CoreError> {
-    streaming_impl(sources, extra_aspects, None, workers, None)
-}
-
-/// Cached variant of [`weave_separated_streaming`] — compiled specs come
-/// from (and are stored into) `cache`, exactly as in
-/// [`weave_separated_cached`].
-///
-/// # Errors
-///
-/// See [`weave_separated_streaming`].
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn weave_separated_streaming_cached(
-    sources: &Site,
-    cache: &WeaveCache,
-    workers: usize,
-) -> Result<StreamedOutput, CoreError> {
-    streaming_impl(sources, &[], Some(cache), workers, None)
-}
-
-fn streaming_impl(
-    sources: &Site,
-    extra_aspects: &[Aspect],
-    cache: Option<&WeaveCache>,
-    workers: usize,
-    faults: Option<&FaultPlan>,
-) -> Result<StreamedOutput, CoreError> {
-    assert!(workers > 0, "need at least one worker");
-    let specs = compile_specs(sources, cache)?;
-    let transform = Arc::clone(&specs.transform);
-    let weaver = match (&specs.weaver, extra_aspects.is_empty()) {
-        (Some(w), true) => Arc::clone(w),
-        _ => {
-            let mut weaver = base_weaver(&specs.nav_map, &specs.site_aspects);
-            for a in extra_aspects {
-                weaver.add_aspect(a.clone());
-            }
-            Arc::new(weaver.compile())
-        }
-    };
-
-    let work: Vec<(String, &navsep_xml::Document)> = sources
-        .iter()
-        .filter(|(path, _)| {
-            *path != LINKBASE_PATH && *path != TRANSFORM_PATH && *path != ASPECTS_PATH
-        })
-        .filter_map(|(path, res)| {
-            let page = data_to_page(path)?;
-            res.document().map(|d| (page, d))
-        })
-        .collect();
-
-    // Worker pool over bounded channels. The feeder paces itself against
-    // the pool (job channel capacity = 2 × workers); the collector drains
-    // results concurrently so a full result channel can never deadlock the
-    // feeder. Results carry their page path, so assembly is deterministic
-    // whatever order workers finish in.
-    type Job<'d> = (String, &'d navsep_xml::Document);
-    let expected = work.len();
-    let results: BTreeMap<String, Result<PageOut, CoreError>> = std::thread::scope(|scope| {
-        let (job_tx, job_rx) = crossbeam::channel::bounded::<Job<'_>>(workers * 2);
-        let (res_tx, res_rx) =
-            crossbeam::channel::bounded::<(String, Result<PageOut, CoreError>)>(workers * 2);
-        for _ in 0..workers {
-            let job_rx = job_rx.clone();
-            let res_tx = res_tx.clone();
-            let transform = &transform;
-            let weaver = &weaver;
-            scope.spawn(move || {
-                while let Ok((page, doc)) = job_rx.recv() {
-                    if let Some(plan) = faults {
-                        if plan
-                            .decide(fault::sites::CHANNEL_DISCONNECT, &page)
-                            .is_some()
-                        {
-                            // A crashed worker: drop both channel ends and
-                            // exit with the in-hand job unreported. The
-                            // remaining workers absorb the queue; the
-                            // collector detects the lost page by count.
-                            return;
-                        }
-                    }
-                    // Isolate panics per page, not per worker: the worker
-                    // survives to take the next job either way.
-                    let out = catch_unwind(AssertUnwindSafe(|| {
-                        stream_or_weave_page(&page, doc, transform, weaver, faults)
-                    }))
-                    .unwrap_or_else(|payload| {
-                        Err(CoreError::WorkerPanic {
-                            path: page.clone(),
-                            message: panic_message(payload.as_ref()),
-                        })
-                    });
-                    if res_tx.send((page, out)).is_err() {
-                        break; // collector gone: the run is already over
-                    }
-                }
-            });
-        }
-        drop(job_rx);
-        drop(res_tx);
-        scope.spawn(move || {
-            for job in work {
-                if job_tx.send(job).is_err() {
-                    break; // every worker exited early
-                }
-            }
-        });
-        let mut results = BTreeMap::new();
-        while let Ok((page, out)) = res_rx.recv() {
-            results.insert(page, out);
-        }
-        results
-    });
-
-    // Workers that disconnected took their in-hand pages with them (and if
-    // *all* workers disconnected, the feeder dropped the rest). Unless a
-    // page-level error will already surface below, report the loss
-    // explicitly rather than returning a silently smaller site.
-    if results.len() != expected && !results.values().any(|r| r.is_err()) {
-        return Err(CoreError::Pipeline(format!(
-            "{} page(s) lost to disconnected weave workers",
-            expected - results.len()
-        )));
-    }
-
-    let mut site = Site::new();
-    let mut reports = Vec::with_capacity(results.len());
-    let mut pages_streamed = 0usize;
-    let mut pages_fallback = 0usize;
-    let mut pages_degraded = 0usize;
-    let mut peak_depth = 0usize;
-    let mut peak_window_bytes = 0usize;
-    for (path, out) in results {
-        // BTreeMap order makes the first error deterministic: it is the
-        // error of the first failing page in page order.
-        match out? {
-            PageOut::Streamed { bytes, report } => {
-                pages_streamed += 1;
-                peak_depth = peak_depth.max(report.peak_depth);
-                peak_window_bytes = peak_window_bytes.max(report.peak_window_bytes);
-                reports.push(report.weave);
-                site.put_resource(
-                    path,
-                    Resource::Raw {
-                        media_type: MediaType::Html,
-                        body: Bytes::from(bytes),
-                    },
-                );
-            }
-            PageOut::Dom { doc, report } => {
-                pages_fallback += 1;
-                reports.push(report);
-                site.put_page(path, doc);
-            }
-            PageOut::Degraded { doc, report } => {
-                pages_degraded += 1;
-                reports.push(report);
-                site.put_page(path, doc);
-            }
-        }
-    }
-    for (path, res) in sources.iter() {
-        if let Resource::Raw { .. } = res {
-            site.put_resource(path, res.clone());
-        }
-    }
-    Ok(StreamedOutput {
-        site,
-        reports,
-        pages_streamed,
-        pages_fallback,
-        pages_degraded,
-        peak_depth,
-        peak_window_bytes,
-    })
 }
 
 #[cfg(test)]
@@ -1158,7 +682,12 @@ mod tests {
                 .attr("class", "banner")
                 .text("Museum of navsep")],
         );
-        let out = weave_separated_with(&sources, &[banner]).unwrap();
+        let out = Weave {
+            extra_aspects: &[banner],
+            ..Weave::default()
+        }
+        .run(&sources)
+        .unwrap();
         let xml = page_xml(&out, "guitar.html");
         assert!(xml.contains("Museum of navsep"));
         // Banner prepended, navigation appended.
@@ -1177,8 +706,12 @@ mod tests {
         .unwrap();
         let cache = WeaveCache::new();
         let uncached = weave_separated(&sources).unwrap();
-        let first = weave_separated_cached(&sources, &cache).unwrap();
-        let again = weave_separated_cached(&sources, &cache).unwrap();
+        let cached = Weave {
+            cache: Some(&cache),
+            ..Weave::default()
+        };
+        let first = cached.run(&sources).unwrap();
+        let again = cached.run(&sources).unwrap();
         crate::equiv::assert_site_equivalent(&uncached.site, &first.site).unwrap();
         crate::equiv::assert_site_equivalent(&uncached.site, &again.site).unwrap();
         // First cached run compiles (transform + linkbase + nav map +
@@ -1200,8 +733,12 @@ mod tests {
             &paper_spec(AccessStructureKind::IndexedGuidedTour),
         )
         .unwrap();
-        let a = weave_separated_cached(&index, &cache).unwrap();
-        let b = weave_separated_cached(&igt, &cache).unwrap();
+        let cached = Weave {
+            cache: Some(&cache),
+            ..Weave::default()
+        };
+        let a = cached.run(&index).unwrap();
+        let b = cached.run(&igt).unwrap();
         // Same transform (1 hit on the second weave); different linkbase
         // (fresh linkbase + nav-map + weaver compilations, no poisoned
         // reuse).
@@ -1224,12 +761,13 @@ mod tests {
         )
         .unwrap();
         let cache = WeaveCache::new();
-        weave_separated_cached(&sources, &cache).unwrap();
+        let cached = Weave {
+            cache: Some(&cache),
+            ..Weave::default()
+        };
+        cached.run(&sources).unwrap();
         sources.remove("guitar.xml");
-        assert!(matches!(
-            weave_separated_cached(&sources, &cache),
-            Err(CoreError::XLink(_))
-        ));
+        assert!(matches!(cached.run(&sources), Err(CoreError::XLink(_))));
     }
 
     #[test]
@@ -1246,7 +784,13 @@ mod tests {
             vec![ElementBuilder::new("div").attr("class", "banner").text("B")],
         );
         let cache = WeaveCache::new();
-        let out = weave_separated_cached_with(&sources, &[banner], &cache).unwrap();
+        let out = Weave {
+            cache: Some(&cache),
+            extra_aspects: &[banner],
+            ..Weave::default()
+        }
+        .run(&sources)
+        .unwrap();
         assert!(page_xml(&out, "guitar.html").contains("class=\"banner\""));
     }
 
@@ -1357,7 +901,12 @@ mod parallel_tests {
         .unwrap();
         let seq = weave_separated(&sources).unwrap();
         for workers in [1usize, 2, 4, 8] {
-            let par = weave_separated_parallel(&sources, workers).unwrap();
+            let par = Weave {
+                workers,
+                ..Weave::default()
+            }
+            .run(&sources)
+            .unwrap();
             assert_site_equivalent(&seq.site, &par.site)
                 .unwrap_or_else(|e| panic!("workers={workers}: {e}"));
             assert_eq!(par.reports.len(), seq.reports.len());
@@ -1370,7 +919,12 @@ mod parallel_tests {
         let nav = museum_navigation();
         let sources =
             separated_sources(&store, &nav, &paper_spec(AccessStructureKind::Index)).unwrap();
-        let par = weave_separated_parallel(&sources, 3).unwrap();
+        let par = Weave {
+            workers: 3,
+            ..Weave::default()
+        }
+        .run(&sources)
+        .unwrap();
         let pages: Vec<&str> = par.reports.iter().map(|r| r.page.as_str()).collect();
         let mut sorted = pages.clone();
         sorted.sort();
@@ -1384,103 +938,50 @@ mod parallel_tests {
         let mut sources =
             separated_sources(&store, &nav, &paper_spec(AccessStructureKind::Index)).unwrap();
         sources.remove(TRANSFORM_PATH);
-        assert!(weave_separated_parallel(&sources, 4).is_err());
-    }
-}
-
-#[cfg(test)]
-mod streaming_tests {
-    use super::*;
-    use crate::museum::{generated_museum, museum_navigation};
-    use crate::separated::separated_sources;
-    use crate::spec::paper_spec;
-    use navsep_hypermodel::AccessStructureKind;
-
-    fn museum_sources() -> Site {
-        separated_sources(
-            &generated_museum(3, 7, 2, 11),
-            &museum_navigation(),
-            &paper_spec(AccessStructureKind::IndexedGuidedTour),
-        )
-        .unwrap()
+        let weave = Weave {
+            workers: 4,
+            ..Weave::default()
+        };
+        assert!(weave.run(&sources).is_err());
     }
 
     #[test]
-    fn streaming_site_is_byte_identical_to_sequential() {
-        let sources = museum_sources();
-        let seq = weave_separated(&sources).unwrap();
-        for workers in [1usize, 2, 8] {
-            let streamed = weave_separated_streaming(&sources, workers).unwrap();
-            assert_eq!(streamed.site.len(), seq.site.len());
-            for (path, res) in seq.site.iter() {
-                let got = streamed.site.get(path).unwrap();
-                assert_eq!(
-                    got.to_bytes(),
-                    res.to_bytes(),
-                    "served bytes differ at {path} with {workers} workers"
-                );
-                assert_eq!(got.media_type(), res.media_type());
+    fn page_subset_weaves_only_those_pages() {
+        let store = generated_museum(2, 3, 2, 5);
+        let nav = museum_navigation();
+        let sources =
+            separated_sources(&store, &nav, &paper_spec(AccessStructureKind::Index)).unwrap();
+        let full = weave_separated(&sources).unwrap();
+        let data: Vec<String> = sources
+            .iter()
+            .map(|(path, _)| path.to_string())
+            .filter(|path| path.starts_with("painting-"))
+            .take(2)
+            .collect();
+        for workers in [1, 2] {
+            let subset = Weave {
+                workers,
+                pages: Some(&data),
+                ..Weave::default()
             }
-            // The navigation aspect is page-generated, so the standard
-            // pipeline streams every page — no DOM is ever built.
-            assert_eq!(streamed.pages_fallback, 0);
-            assert_eq!(streamed.pages_streamed, seq.reports.len());
-            assert_eq!(streamed.reports.len(), seq.reports.len());
-            assert!(streamed.peak_depth > 0);
+            .run(&sources)
+            .unwrap();
+            assert_eq!(subset.site.len(), data.len(), "no passthroughs");
+            assert_eq!(subset.reports.len(), data.len());
+            for (path, res) in subset.site.iter() {
+                assert_eq!(res.to_bytes(), full.site.get(path).unwrap().to_bytes());
+            }
         }
-    }
-
-    #[test]
-    fn streamed_reports_match_sequential_counts() {
-        let sources = museum_sources();
-        let seq = weave_separated(&sources).unwrap();
-        let streamed = weave_separated_streaming(&sources, 3).unwrap();
-        for (s, d) in streamed.reports.iter().zip(&seq.reports) {
-            assert_eq!(s.page, d.page, "reports must come back in page order");
-            assert_eq!(s.join_points, d.join_points);
-            assert_eq!(s.applications(), d.applications());
+        let bad = [
+            crate::layout::CSS_PATH.to_string(),
+            "missing.xml".to_string(),
+        ];
+        for path in &bad {
+            let weave = Weave {
+                pages: Some(std::slice::from_ref(path)),
+                ..Weave::default()
+            };
+            assert!(matches!(weave.run(&sources), Err(CoreError::Pipeline(_))));
         }
-    }
-
-    #[test]
-    fn dynamic_extra_aspect_falls_back_to_dom_weaver() {
-        let sources = museum_sources();
-        let stamp =
-            Aspect::new("stamp").generated_rule(Pointcut::Root, AdvicePosition::Prepend, |jp| {
-                vec![ElementBuilder::new("span").text(jp.page.to_string())]
-            });
-        let seq = weave_separated_with(&sources, std::slice::from_ref(&stamp)).unwrap();
-        let streamed =
-            weave_separated_streaming_with(&sources, std::slice::from_ref(&stamp), 2).unwrap();
-        // Document-dependent advice on every page: streamability analysis
-        // routes all of them through the DOM weaver…
-        assert_eq!(streamed.pages_streamed, 0);
-        assert_eq!(streamed.pages_fallback, seq.reports.len());
-        // …and the output is still identical.
-        for (path, res) in seq.site.iter() {
-            let got = streamed.site.get(path).unwrap();
-            assert_eq!(got.to_bytes(), res.to_bytes(), "{path}");
-        }
-    }
-
-    #[test]
-    fn streaming_propagates_errors() {
-        let mut sources = museum_sources();
-        sources.remove(TRANSFORM_PATH);
-        assert!(matches!(
-            weave_separated_streaming(&sources, 4),
-            Err(CoreError::Pipeline(msg)) if msg.contains("transform.xml")
-        ));
-    }
-
-    #[test]
-    fn streaming_cached_reuses_compiled_specs() {
-        let sources = museum_sources();
-        let cache = WeaveCache::new();
-        let first = weave_separated_streaming_cached(&sources, &cache, 2).unwrap();
-        let again = weave_separated_streaming_cached(&sources, &cache, 2).unwrap();
-        assert_eq!(first.site.len(), again.site.len());
-        assert_eq!(cache.misses(), 4);
-        assert_eq!(cache.hits(), 4);
     }
 }

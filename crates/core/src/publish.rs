@@ -12,10 +12,10 @@
 //! previous epoch.
 //!
 //! Commits are incremental end to end when the batch touches only data or
-//! raw resources: the K edited pages are re-transformed and re-woven
-//! ([`weave_pages_cached`]), every other page of the retained woven site is
-//! reused as-is (its memoized [`navsep_xml::Document::content_hash`]
-//! included), and [`ShardedSiteStore::publish_incremental`] then reuses
+//! raw resources: the K edited pages are re-transformed and re-woven (a
+//! [`Weave`] over just those `pages`), every other page of the retained
+//! woven site is reused as-is (its memoized
+//! [`navsep_xml::Document::content_hash`] included), and [`ShardedSiteStore::publish_incremental`] then reuses
 //! the unchanged `Arc` entries and skips untouched shards. A batch that
 //! edits a *spec* (linkbase, transform, `aspects.xml`) falls back to the
 //! full weave, since any page may be affected.
@@ -39,10 +39,7 @@ use crate::error::CoreError;
 use crate::fault::{self, FaultPlan};
 use crate::layout::data_to_page;
 use crate::lint::lint_sources;
-use crate::pipeline::{
-    panic_message, weave_pages_cached, weave_separated_cached,
-    weave_separated_streaming_cached_faulted, WeaveCache,
-};
+use crate::pipeline::{panic_message, Weave, WeaveCache};
 use navsep_web::{IncrementalPublish, Resource, ShardedSiteStore, Site};
 use navsep_xml::Document;
 use std::collections::BTreeSet;
@@ -298,9 +295,9 @@ impl SitePublisher {
     }
 
     /// Arms a [`FaultPlan`] on this publisher (builder style). The plan is
-    /// consulted at the publisher-level `weave.page` site on every commit
-    /// and threaded into the streaming weave; arm the same plan on the
-    /// store ([`ShardedSiteStore::arm_faults`]) to also hit the
+    /// consulted at the publisher-level `weave.page` site, keyed
+    /// `"publisher.commit"`, on every commit attempt; arm the same plan on
+    /// the store ([`ShardedSiteStore::arm_faults`]) to also hit the
     /// `store.publish` site.
     pub fn with_faults(mut self, plan: Arc<FaultPlan>) -> Self {
         self.faults = Some(plan);
@@ -387,73 +384,6 @@ impl SitePublisher {
         self.commit_inner(Some(roots))
     }
 
-    /// Like [`commit`](Self::commit), but the weave is always a **full
-    /// streaming publish** fanned out over `workers` threads
-    /// ([`weave_separated_streaming_cached`](crate::pipeline::weave_separated_streaming_cached)):
-    /// pages whose compiled spec
-    /// passes streamability analysis go straight from reader events to
-    /// woven bytes, the rest fall back to the DOM weaver. Served bytes are
-    /// identical to [`commit`](Self::commit)'s, page for page, whatever
-    /// `workers` is, and the batch is still exactly one generation bump.
-    ///
-    /// # Errors
-    ///
-    /// As [`commit`](Self::commit): on error nothing is published, the
-    /// sources are unchanged, and the batch stays staged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers` is zero.
-    pub fn commit_streaming(&mut self, workers: usize) -> Result<PublishOutcome, CoreError> {
-        let mut next = self.sources.clone();
-        for edit in &self.staged {
-            edit.apply(&mut next);
-        }
-        if self.staged.iter().any(Self::edits_spec) {
-            self.cache.clear();
-        }
-        let retry = self.retry;
-        let faults = self.faults.clone();
-        let armed = self.armed_plans();
-        let ((woven, store_publish), retries) = retry.run_counted(&armed, || {
-            let attempt = catch_unwind(AssertUnwindSafe(|| {
-                let woven = weave_separated_streaming_cached_faulted(
-                    &next,
-                    &self.cache,
-                    workers,
-                    faults.as_deref(),
-                )?;
-                let store_publish = self
-                    .store
-                    .try_publish_incremental(&woven.site)
-                    .map_err(CoreError::from)?;
-                Ok((woven, store_publish))
-            }));
-            match attempt {
-                Ok(result) => result,
-                Err(payload) => Err(CoreError::WorkerPanic {
-                    path: "<commit>".to_string(),
-                    message: panic_message(payload.as_ref()),
-                }),
-            }
-        })?;
-        let edits_applied = self.staged.len();
-        self.staged.clear();
-        self.sources = next;
-        let resources_published = woven.site.len();
-        let pages_rewoven = woven.reports.len();
-        self.last_woven = Some(woven.site);
-        Ok(PublishOutcome {
-            generation: store_publish.generation,
-            edits_applied,
-            resources_published,
-            pages_rewoven,
-            pages_reused: 0,
-            store_publish,
-            retries,
-        })
-    }
-
     /// Lints the sources **as the staged batch would leave them**, without
     /// weaving or publishing anything — the cheap pre-flight
     /// [`commit_audited`](Self::commit_audited) runs before its weave.
@@ -530,10 +460,15 @@ impl SitePublisher {
         // Compiles specs from the cache (pure hits — they did not change)
         // and validates every locator against the full new data set, just
         // like the full weave.
-        let rewoven = weave_pages_cached(next, &self.cache, &to_weave)?;
-        let pages_rewoven = rewoven.len();
-        for (page_path, doc, _report) in rewoven {
-            site.put_page(page_path, doc);
+        let rewoven = Weave {
+            cache: Some(&self.cache),
+            pages: Some(&to_weave),
+            ..Weave::default()
+        }
+        .run(next)?;
+        let pages_rewoven = rewoven.reports.len();
+        for (page_path, page) in rewoven.site.iter() {
+            site.put_resource(page_path, page.clone());
         }
         // Reused = output entries this commit did not write: neither woven
         // from an edited data document nor refreshed raw passthroughs.
@@ -590,7 +525,11 @@ impl SitePublisher {
                         // First commit, or a spec changed: any page may
                         // differ — weave the whole site.
                         _ => {
-                            let woven = weave_separated_cached(&next, &self.cache)?;
+                            let woven = Weave {
+                                cache: Some(&self.cache),
+                                ..Weave::default()
+                            }
+                            .run(&next)?;
                             let pages_rewoven = woven.reports.len();
                             (woven.site, pages_rewoven, 0)
                         }
@@ -952,5 +891,52 @@ mod tests {
         // CSS edits touch no spec: the reweave compiles nothing new.
         assert_eq!(p.cache().misses(), misses_after_first);
         assert!(p.cache().hits() >= 3);
+    }
+
+    #[test]
+    fn run_counted_retries_only_the_panics_an_armed_plan_raised() {
+        use crate::fault::{injected_panic_message, sites, FaultKind, FaultRule};
+
+        // The plan is armed and has raised a panic of its own.
+        let plan =
+            Arc::new(FaultPlan::new(1).rule(FaultRule::at(sites::WEAVE_PAGE, FaultKind::Panic)));
+        let raised = catch_unwind(|| fault::fire(Some(&plan), sites::WEAVE_PAGE, "guitar.html"));
+        assert!(raised.is_err());
+        let armed = [plan];
+        let retry = RetryPolicy {
+            max_attempts: 5,
+            base_delay: Duration::ZERO,
+            max_delay: Duration::ZERO,
+        };
+
+        // A panic no armed plan raised is a bug: one attempt, no retry.
+        let mut attempts = 0;
+        let organic = retry.run_counted(&armed, || -> Result<(), CoreError> {
+            attempts += 1;
+            Err(CoreError::WorkerPanic {
+                path: "guitar.html".to_string(),
+                message: "index out of bounds".to_string(),
+            })
+        });
+        assert!(matches!(organic, Err(CoreError::WorkerPanic { .. })));
+        assert_eq!(attempts, 1);
+
+        // The panic the plan did raise is transient and is retried.
+        let injected = injected_panic_message(sites::WEAVE_PAGE, "guitar.html");
+        let mut attempts = 0;
+        let (_, retries) = retry
+            .run_counted(&armed, || {
+                attempts += 1;
+                if attempts < 3 {
+                    Err(CoreError::WorkerPanic {
+                        path: "guitar.html".to_string(),
+                        message: injected.clone(),
+                    })
+                } else {
+                    Ok(())
+                }
+            })
+            .unwrap();
+        assert_eq!(retries, 2);
     }
 }

@@ -4,17 +4,13 @@
 //!
 //! The chaos battery (`tests/chaos.rs`) sweeps random plans over random
 //! sites; this suite pins down the individual contracts it relies on —
-//! panic isolation with sequential-identical first-error ordering,
-//! streaming degradation byte-identity, explicit loss reporting for
-//! disconnected workers, transactional store publishes, and the retry
-//! policy's transient/permanent split.
+//! panic isolation with sequential-identical first-error ordering at 1, 2
+//! and 8 workers, transactional store publishes, and the retry policy's
+//! transient/permanent split.
 
 use navsep_core::fault::{sites, FaultKind, FaultPlan, FaultRule};
 use navsep_core::museum::{museum_navigation, paper_museum};
-use navsep_core::pipeline::{
-    weave_separated, weave_separated_parallel_faulted, weave_separated_streaming,
-    weave_separated_streaming_faulted,
-};
+use navsep_core::pipeline::{weave_separated, Weave, WovenOutput};
 use navsep_core::publish::{RetryPolicy, SitePublisher, SourceEdit};
 use navsep_core::separated::separated_sources;
 use navsep_core::spec::paper_spec;
@@ -48,6 +44,20 @@ fn quiet_injected_panics() {
     });
 }
 
+/// A faulted weave of `sources` on `workers` threads.
+fn weave_at(
+    sources: &Site,
+    workers: usize,
+    faults: Option<&FaultPlan>,
+) -> Result<WovenOutput, CoreError> {
+    Weave {
+        workers,
+        faults,
+        ..Weave::default()
+    }
+    .run(sources)
+}
+
 fn paper_sources() -> Site {
     separated_sources(
         &paper_museum(),
@@ -76,19 +86,12 @@ fn disarmed_faulted_paths_are_byte_identical_to_plain_ones() {
     let sources = paper_sources();
     let reference = weave_separated(&sources).unwrap();
     for workers in [1, 2, 8] {
-        let parallel = weave_separated_parallel_faulted(&sources, workers, None).unwrap();
+        let woven = weave_at(&sources, workers, None).unwrap();
         assert_sites_byte_identical(
             &reference.site,
-            &parallel.site,
-            &format!("parallel/{workers} disarmed"),
+            &woven.site,
+            &format!("{workers} workers, disarmed"),
         );
-        let streamed = weave_separated_streaming_faulted(&sources, workers, None).unwrap();
-        assert_sites_byte_identical(
-            &reference.site,
-            &streamed.site,
-            &format!("streaming/{workers} disarmed"),
-        );
-        assert_eq!(streamed.pages_degraded, 0);
     }
 }
 
@@ -99,7 +102,7 @@ fn injected_panic_surfaces_as_worker_panic_for_that_page() {
     let plan = FaultPlan::new(7)
         .rule(FaultRule::at(sites::WEAVE_PAGE, FaultKind::Panic).matching("guitar"));
     for workers in [1, 2, 8] {
-        let err = weave_separated_parallel_faulted(&sources, workers, Some(&plan)).unwrap_err();
+        let err = weave_at(&sources, workers, Some(&plan)).unwrap_err();
         match err {
             CoreError::WorkerPanic { path, message } => {
                 assert_eq!(path, "guitar.html", "workers={workers}");
@@ -115,12 +118,12 @@ fn first_error_matches_sequential_stop_page_when_every_page_fails() {
     quiet_injected_panics();
     let sources = paper_sources();
     // The page the sequential pipeline stops at is the first in page
-    // order; with every page panicking, the parallel pipeline must report
+    // order; with every page panicking, the weave must report
     // that same page whatever the worker count or finish order.
     let first_page = weave_separated(&sources).unwrap().reports[0].page.clone();
     let plan = FaultPlan::new(11).rule(FaultRule::at(sites::WEAVE_PAGE, FaultKind::Panic));
     for workers in [1, 2, 8] {
-        let err = weave_separated_parallel_faulted(&sources, workers, Some(&plan)).unwrap_err();
+        let err = weave_at(&sources, workers, Some(&plan)).unwrap_err();
         match err {
             CoreError::WorkerPanic { path, .. } => {
                 assert_eq!(path, first_page, "workers={workers}")
@@ -133,86 +136,45 @@ fn first_error_matches_sequential_stop_page_when_every_page_fails() {
 #[test]
 fn injected_error_surfaces_as_fault_error() {
     let sources = paper_sources();
-    let plan = FaultPlan::new(3).rule(
-        FaultRule::at(sites::WEAVE_PAGE, FaultKind::Error("disk on fire".into()))
-            .matching("guitar"),
-    );
-    let err = weave_separated_parallel_faulted(&sources, 2, Some(&plan)).unwrap_err();
-    match err {
-        CoreError::Fault(f) => {
-            assert!(f.to_string().contains("disk on fire"));
-            assert!(f.to_string().contains("guitar"));
-        }
-        other => panic!("expected Fault, got {other}"),
-    }
-    assert!(plan.fired() >= 1);
-}
-
-#[test]
-fn streaming_faults_degrade_to_dom_weaver_byte_identically() {
-    let sources = paper_sources();
-    let reference = weave_separated(&sources).unwrap();
-    let clean = weave_separated_streaming(&sources, 2).unwrap();
-    assert!(clean.pages_streamed > 0, "fixture must have streamed pages");
-    // Fail the streaming weaver on EVERY page: all previously-streamed
-    // pages must degrade to the DOM weaver, and the site must still be
-    // byte-identical to the sequential output.
-    let plan = FaultPlan::new(5).rule(FaultRule::at(
-        sites::STREAM_PAGE,
-        FaultKind::Error("stream torn".into()),
-    ));
     for workers in [1, 2, 8] {
-        let degraded = weave_separated_streaming_faulted(&sources, workers, Some(&plan)).unwrap();
-        assert_eq!(
-            degraded.pages_degraded, clean.pages_streamed,
-            "workers={workers}"
+        let plan = FaultPlan::new(3).rule(
+            FaultRule::at(sites::WEAVE_PAGE, FaultKind::Error("disk on fire".into()))
+                .matching("guitar"),
         );
-        assert_eq!(degraded.pages_streamed, 0, "workers={workers}");
-        assert_sites_byte_identical(
-            &reference.site,
-            &degraded.site,
-            &format!("degraded/{workers}"),
-        );
-    }
-}
-
-#[test]
-fn disconnected_workers_lose_pages_loudly_not_silently() {
-    let sources = paper_sources();
-    // Every worker disconnects on its first job: all in-hand pages are
-    // lost, the feeder's sends fail once every receiver is gone, and the
-    // pipeline must report the loss as an explicit error — and terminate.
-    let plan = FaultPlan::new(13).rule(FaultRule::at(
-        sites::CHANNEL_DISCONNECT,
-        FaultKind::Disconnect,
-    ));
-    for workers in [1, 2, 8] {
-        let err = weave_separated_streaming_faulted(&sources, workers, Some(&plan)).unwrap_err();
+        let err = weave_at(&sources, workers, Some(&plan)).unwrap_err();
         match err {
-            CoreError::Pipeline(msg) => {
-                assert!(
-                    msg.contains("lost to disconnected weave workers"),
-                    "workers={workers}: {msg}"
-                );
+            CoreError::Fault(f) => {
+                assert!(f.to_string().contains("disk on fire"));
+                assert!(f.to_string().contains("guitar"));
             }
-            other => panic!("expected Pipeline loss error, got {other}"),
+            other => panic!("expected Fault, got {other} (workers={workers})"),
         }
+        assert!(plan.fired() >= 1);
     }
 }
 
 #[test]
-fn single_disconnect_loses_only_the_in_hand_page() {
+fn a_failing_page_does_not_stop_the_other_pages() {
+    // Per-page isolation: when one page fails, every other page is still
+    // consulted (and woven), whatever the worker count. The first rule
+    // fails guitar; the second, zero-delay rule counts every other page.
     let sources = paper_sources();
-    // One worker of several dies once; the survivors drain the queue, so
-    // exactly one page is missing.
-    let plan = FaultPlan::new(17)
-        .rule(FaultRule::at(sites::CHANNEL_DISCONNECT, FaultKind::Disconnect).times(1));
-    let err = weave_separated_streaming_faulted(&sources, 4, Some(&plan)).unwrap_err();
-    match err {
-        CoreError::Pipeline(msg) => {
-            assert!(msg.contains("1 page(s) lost"), "{msg}");
-        }
-        other => panic!("expected Pipeline loss error, got {other}"),
+    let pages = weave_separated(&sources).unwrap().reports.len() as u64;
+    for workers in [1, 2, 8] {
+        let plan = FaultPlan::new(19)
+            .rule(
+                FaultRule::at(sites::WEAVE_PAGE, FaultKind::Error("one page".into()))
+                    .matching("guitar"),
+            )
+            .rule(FaultRule::at(
+                sites::WEAVE_PAGE,
+                FaultKind::Slow(Duration::ZERO),
+            ));
+        assert!(matches!(
+            weave_at(&sources, workers, Some(&plan)),
+            Err(CoreError::Fault(_))
+        ));
+        assert_eq!(plan.fired(), pages, "workers={workers}");
     }
 }
 
@@ -315,44 +277,20 @@ fn organic_errors_are_never_retried() {
 }
 
 #[test]
-fn streaming_commit_degrades_under_stream_faults_and_still_publishes() {
-    let reference_store = Arc::new(ShardedSiteStore::new(8));
-    let mut reference = publisher_over(&reference_store);
-    reference.commit().unwrap();
-
-    let store = Arc::new(ShardedSiteStore::new(8));
-    let plan = Arc::new(FaultPlan::new(41).rule(FaultRule::at(
-        sites::STREAM_PAGE,
-        FaultKind::Error("stream torn".into()),
-    )));
-    let mut publisher = publisher_over(&store).with_faults(plan);
-    let outcome = publisher.commit_streaming(2).unwrap();
-    assert_eq!(outcome.generation, 1);
-    // Every page degraded, yet the served bytes equal the DOM commit's at
-    // every published path.
-    let reference_site = weave_separated(reference.sources()).unwrap().site;
-    assert!(reference_site.len() > 0);
-    for (path, res) in reference_site.iter() {
-        let reference_read = reference_store.get(path).unwrap();
-        assert_eq!(reference_read.resource().to_bytes(), res.to_bytes());
-        let got = store.get(path).unwrap();
-        assert_eq!(
-            reference_read.resource().to_bytes(),
-            got.resource().to_bytes(),
-            "degraded streaming commit differs at {path}"
-        );
-    }
-}
-
-#[test]
 fn slow_faults_delay_but_do_not_fail() {
     let sources = paper_sources();
-    let plan = FaultPlan::new(43).rule(
-        FaultRule::at(sites::WEAVE_PAGE, FaultKind::Slow(Duration::from_millis(5)))
-            .matching("guitar"),
-    );
     let reference = weave_separated(&sources).unwrap();
-    let woven = weave_separated_parallel_faulted(&sources, 2, Some(&plan)).unwrap();
-    assert_sites_byte_identical(&reference.site, &woven.site, "slow fault");
-    assert!(plan.fired() >= 1, "the slow site must have been consulted");
+    for workers in [1, 2, 8] {
+        let plan = FaultPlan::new(43).rule(
+            FaultRule::at(sites::WEAVE_PAGE, FaultKind::Slow(Duration::from_millis(5)))
+                .matching("guitar"),
+        );
+        let woven = weave_at(&sources, workers, Some(&plan)).unwrap();
+        assert_sites_byte_identical(
+            &reference.site,
+            &woven.site,
+            &format!("slow fault, {workers} workers"),
+        );
+        assert!(plan.fired() >= 1, "the slow site must have been consulted");
+    }
 }

@@ -8,8 +8,9 @@
 //!   the commit did rewrite, byte for byte.
 //! * **Detached join points.** Advice on an element that an earlier
 //!   `replace-content` detached is a typed weave error, not a panic.
-//! * **Organic panics.** Only a panic an armed fault plan raised is worth
-//!   retrying; any other panic is a bug and surfaces on the first attempt.
+//! * **Organic failures.** Only a failure the fault layer injected is worth
+//!   retrying; a deterministic error (here a transform that used to panic)
+//!   surfaces on the first attempt.
 
 use navsep_aspect::WeaveError;
 use navsep_core::fault::{sites, FaultKind, FaultPlan, FaultRule};
@@ -20,6 +21,7 @@ use navsep_core::separated::{separated_sources, MUSEUM_TRANSFORM};
 use navsep_core::spec::paper_spec;
 use navsep_core::CoreError;
 use navsep_hypermodel::AccessStructureKind;
+use navsep_style::TemplateError;
 use navsep_web::{ShardedSiteStore, Site};
 use navsep_xml::Document;
 use std::collections::BTreeMap;
@@ -180,10 +182,11 @@ fn advice_on_a_detached_join_point_fails_the_commit_with_a_typed_error() {
 
 #[test]
 fn an_organic_panic_is_attempted_exactly_once() {
-    // An `<attribute>` at the top of a template has no element to land on:
-    // applying this transform panics inside the style layer. That is a bug,
-    // not a transient fault, so the commit must not retry it. The armed
-    // plan injects nothing; its zero-delay rule only counts the attempts.
+    // An `<attribute>` at the top of a template has no element to land on.
+    // Applying this transform used to panic inside the style layer; it is
+    // now a typed template error. Either way it is deterministic, not a
+    // transient fault, so the commit must not retry it. The armed plan
+    // injects nothing; its zero-delay rule only counts the attempts.
     let (p, store) = publisher();
     let attempts = Arc::new(
         FaultPlan::new(1).rule(
@@ -205,13 +208,14 @@ fn an_organic_panic_is_attempted_exactly_once() {
         Document::parse(&transform).unwrap(),
     ));
     match p.commit() {
-        Err(CoreError::WorkerPanic { message, .. }) => {
-            assert!(message.contains("set_attribute"), "{message}")
+        Err(CoreError::Template(TemplateError::InvalidTransform(message))) => {
+            assert!(message.contains("lost"), "{message}")
         }
-        other => panic!("expected an organic panic, got {other:?}"),
+        other => panic!("expected a typed template error, got {other:?}"),
     }
     assert_eq!(attempts.fired(), 2, "the failing commit ran exactly once");
     assert_eq!(store.generation(), 1);
+    assert_eq!(p.staged_len(), 1, "the batch stays staged");
 }
 
 #[test]

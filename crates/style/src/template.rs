@@ -395,6 +395,13 @@ impl Transform {
                     }
                 }
                 Instruction::AttributeInstr { name, value } => {
+                    // At the top of a template the output parent is the
+                    // document node, which has no attributes to set.
+                    if !out.is_element(out_parent) {
+                        return Err(TemplateError::InvalidTransform(format!(
+                            "<attribute name=\"{name}\"> outside an output element"
+                        )));
+                    }
                     let v = eval_attr_template(value, src, ctx);
                     out.set_attribute(out_parent, name.as_str(), v);
                 }
@@ -579,6 +586,31 @@ mod tests {
         let out = t.apply(&museum_data()).unwrap();
         let xml = out.to_xml_string();
         assert!(xml.contains("<h1>Pablo Picasso</h1>"), "{xml}");
+    }
+
+    #[test]
+    fn attribute_at_the_top_of_a_template_is_an_error_not_a_panic() {
+        // The output parent at the top of the root template is the
+        // document node, which cannot carry an attribute.
+        let t = Transform::parse_str(
+            r#"<transform>
+  <template match="painter"><attribute name="lost" value="x"/><h1/></template>
+</transform>"#,
+        )
+        .unwrap();
+        match t.apply(&museum_data()) {
+            Err(TemplateError::InvalidTransform(m)) => assert!(m.contains("lost"), "{m}"),
+            other => panic!("expected a template error, got {other:?}"),
+        }
+        // Inside an output element the same instruction is fine.
+        let t = Transform::parse_str(
+            r#"<transform>
+  <template match="painter"><h1><attribute name="kept" value="x"/></h1></template>
+</transform>"#,
+        )
+        .unwrap();
+        let xml = t.apply(&museum_data()).unwrap().to_xml_string();
+        assert!(xml.contains(r#"<h1 kept="x"/>"#), "{xml}");
     }
 
     #[test]

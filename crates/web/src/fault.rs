@@ -3,8 +3,8 @@
 //! A [`FaultPlan`] is a seeded registry of [`FaultRule`]s keyed by **named
 //! injection sites** (see [`sites`]) that production code consults at the
 //! few places where a real deployment would fail: a page weave panicking, a
-//! page weaving slowly, a parse/weave error, a worker abandoning its
-//! channels, a store publish failing mid-commit, a request handler crashing.
+//! page weaving slowly, a parse/weave error, a store publish failing
+//! mid-commit, a request handler crashing.
 //! The robustness layer (panic-isolated weave workers, the shedding
 //! [`ServerPool`](crate::server::ServerPool), transactional publish with
 //! retry) is *gated* on these injections: chaos tests arm a plan and assert
@@ -50,16 +50,6 @@ pub mod sites {
     /// isolation; `Error` becomes a `CoreError`; `Slow` stalls the worker.
     /// Key: the page path.
     pub const WEAVE_PAGE: &str = "weave.page";
-
-    /// The streaming (event-based) weave of one page, after the page was
-    /// judged streamable. Any fault here degrades the page to the DOM
-    /// weaver instead of erroring. Key: the page path.
-    pub const STREAM_PAGE: &str = "stream.page";
-
-    /// A streaming weave worker abandoning its channels mid-run, as a
-    /// crashed thread would — the job it holds is lost. Only `Disconnect`
-    /// rules are meaningful here. Key: the page path the worker just took.
-    pub const CHANNEL_DISCONNECT: &str = "channel.disconnect";
 
     /// A sharded-store publish, checked under the publish lock after
     /// rendering but before any epoch retention or shard swap — so an

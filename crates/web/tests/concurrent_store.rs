@@ -456,15 +456,15 @@ fn len_and_paths_stay_coherent_under_publish_churn() {
 }
 
 #[test]
-fn streaming_publishes_match_sequential_bytes_and_generations() {
-    // The parallel streaming publish path must be observably the same
-    // application as the sequential DOM path: drive one edit script
-    // through four publishers — sequential `commit()` plus
-    // `commit_streaming` with 1, 2, and 8 workers — and require identical
-    // global generations after every round and identical served bytes at
-    // every path at the end.
+fn publishers_match_each_other_and_a_fresh_weave_in_bytes_and_generations() {
+    // Publishing is one application whatever the store layout: drive one
+    // edit script through publishers over 1, 4 and 8 shards and require
+    // identical global generations after every round, identical served
+    // bytes at every path at the end, and those bytes equal to a fresh
+    // weave of the final sources on 1, 2 and 8 workers.
     use navsep_core::layout::LINKBASE_PATH;
     use navsep_core::museum::{generated_museum, museum_navigation};
+    use navsep_core::pipeline::Weave;
     use navsep_core::publish::{SitePublisher, SourceEdit};
     use navsep_core::separated::separated_sources;
     use navsep_core::spec::paper_spec;
@@ -488,13 +488,13 @@ fn streaming_publishes_match_sequential_bytes_and_generations() {
     .unwrap()
     .clone();
 
-    let workers_per_rig = [None, Some(1usize), Some(2), Some(8)];
-    let mut rigs: Vec<(Option<usize>, SitePublisher, Arc<ShardedSiteStore>)> = workers_per_rig
+    let shards_per_rig = [1usize, 4, 8];
+    let mut rigs: Vec<(usize, SitePublisher, Arc<ShardedSiteStore>)> = shards_per_rig
         .into_iter()
-        .map(|workers| {
-            let store = Arc::new(ShardedSiteStore::new(8));
+        .map(|shards| {
+            let store = Arc::new(ShardedSiteStore::new(shards));
             let publisher = SitePublisher::new(sources.clone(), Arc::clone(&store));
-            (workers, publisher, store)
+            (shards, publisher, store)
         })
         .collect();
 
@@ -502,7 +502,7 @@ fn streaming_publishes_match_sequential_bytes_and_generations() {
     // edit. Round 3: a spec (linkbase) edit — the full-reweave path.
     for round in 0..4u64 {
         let mut generations = Vec::new();
-        for (workers, publisher, _) in rigs.iter_mut() {
+        for (_, publisher, _) in rigs.iter_mut() {
             match round {
                 1 => {
                     publisher.stage(SourceEdit::put_document(
@@ -521,11 +521,7 @@ fn streaming_publishes_match_sequential_bytes_and_generations() {
                 }
                 _ => {}
             }
-            let outcome = match workers {
-                None => publisher.commit().unwrap(),
-                Some(w) => publisher.commit_streaming(*w).unwrap(),
-            };
-            generations.push(outcome.generation);
+            generations.push(publisher.commit().unwrap().generation);
         }
         assert!(
             generations.iter().all(|&g| g == round + 1),
@@ -533,29 +529,44 @@ fn streaming_publishes_match_sequential_bytes_and_generations() {
         );
     }
 
-    let (_, _, baseline) = &rigs[0];
+    let (_, publisher, baseline) = &rigs[0];
     let mut paths = baseline.paths();
     paths.sort();
-    for (workers, _, store) in &rigs[1..] {
+    for (shards, _, store) in &rigs[1..] {
         let mut got = store.paths();
         got.sort();
-        assert_eq!(got, paths, "path sets diverged with workers {workers:?}");
+        assert_eq!(got, paths, "path sets diverged with {shards} shards");
         for path in &paths {
             assert_eq!(
                 store.get(path).unwrap().body(),
                 baseline.get(path).unwrap().body(),
-                "served bytes diverged at {path} with workers {workers:?}"
+                "served bytes diverged at {path} with {shards} shards"
+            );
+        }
+    }
+    for workers in [1, 2, 8] {
+        let fresh = Weave {
+            workers,
+            ..Weave::default()
+        }
+        .run(publisher.sources())
+        .unwrap();
+        assert_eq!(fresh.site.len(), paths.len());
+        for (path, res) in fresh.site.iter() {
+            assert_eq!(
+                baseline.get(path).unwrap().body(),
+                res.to_bytes(),
+                "a fresh weave on {workers} workers differs at {path}"
             );
         }
     }
 }
 
 #[test]
-fn racing_readers_never_observe_partially_woven_streamed_bodies() {
-    // Streamed pages are emitted incrementally into a buffer, but publish
-    // must stay atomic: readers racing a streaming publisher may only ever
-    // see complete, fully-woven bodies — well-formed XML with the
-    // navigation advice already applied — never a truncated buffer or a
+fn racing_readers_never_observe_partially_woven_bodies() {
+    // Publish is atomic: readers racing a reweaving publisher may only
+    // ever see complete, fully-woven bodies — well-formed XML with the
+    // navigation advice already applied — never a truncated body or a
     // base page the weave hasn't reached yet.
     use navsep_core::museum::{museum_navigation, paper_museum};
     use navsep_core::publish::{SitePublisher, SourceEdit};
@@ -573,7 +584,7 @@ fn racing_readers_never_observe_partially_woven_streamed_bodies() {
     .unwrap();
     let store = Arc::new(ShardedSiteStore::new(8));
     let mut publisher = SitePublisher::new(sources, Arc::clone(&store));
-    publisher.commit_streaming(2).unwrap();
+    publisher.commit().unwrap();
     let handler = Arc::new(ShardedSiteHandler::new(Arc::clone(&store)));
     let stop = Arc::new(AtomicBool::new(false));
 
@@ -589,9 +600,7 @@ fn racing_readers_never_observe_partially_woven_streamed_bodies() {
                         ))
                         .unwrap(),
                     ));
-                    publisher
-                        .commit_streaming(4)
-                        .expect("streaming reweave cannot fail");
+                    publisher.commit().expect("a data reweave cannot fail");
                 }
                 stop.store(true, Ordering::Release);
             });

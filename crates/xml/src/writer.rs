@@ -1,66 +1,10 @@
 //! Serialization of a [`Document`] back to XML text.
-//!
-//! The tag-level helpers ([`XML_DECLARATION`], [`write_start_tag_open`],
-//! [`write_comment_markup`], [`write_pi_markup`]) are shared with the
-//! streaming weaver so incrementally-emitted bytes are formatted by the
-//! exact same code as a DOM serialization.
 
-use crate::dom::{Attribute, Document, NodeId, NodeKind};
+use crate::dom::{Document, NodeId, NodeKind};
 use crate::escape::{escape_attr, escape_text};
-use crate::name::{NamespaceDecl, QName};
 
 /// The declaration emitted at the top of every full document serialization.
-pub const XML_DECLARATION: &str = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
-
-/// Writes the open half of a start tag — `<name`, namespace declarations,
-/// and attributes, *without* the closing `>` or `/>` — exactly as
-/// [`Writer`] formats it.
-pub fn write_start_tag_open(
-    out: &mut String,
-    name: &QName,
-    namespace_decls: &[NamespaceDecl],
-    attributes: &[Attribute],
-) {
-    out.push('<');
-    out.push_str(&name.as_markup());
-    for d in namespace_decls {
-        if d.prefix.is_empty() {
-            out.push_str(" xmlns=\"");
-        } else {
-            out.push_str(" xmlns:");
-            out.push_str(&d.prefix);
-            out.push_str("=\"");
-        }
-        out.push_str(&escape_attr(&d.uri));
-        out.push('"');
-    }
-    for a in attributes {
-        out.push(' ');
-        out.push_str(&a.name().as_markup());
-        out.push_str("=\"");
-        out.push_str(&escape_attr(a.value()));
-        out.push('"');
-    }
-}
-
-/// Writes `<!--text-->` (the body is emitted verbatim, as [`Writer`] does).
-pub fn write_comment_markup(out: &mut String, text: &str) {
-    out.push_str("<!--");
-    out.push_str(text);
-    out.push_str("-->");
-}
-
-/// Writes `<?target data?>` (the space is omitted when `data` is empty, as
-/// [`Writer`] does).
-pub fn write_pi_markup(out: &mut String, target: &str, data: &str) {
-    out.push_str("<?");
-    out.push_str(target);
-    if !data.is_empty() {
-        out.push(' ');
-        out.push_str(data);
-    }
-    out.push_str("?>");
-}
+const XML_DECLARATION: &str = "<?xml version=\"1.0\" encoding=\"UTF-8\"?>";
 
 /// Options controlling serialization.
 ///
@@ -181,7 +125,26 @@ impl<'o> Writer<'o> {
                 namespace_decls,
             } => {
                 self.push_indent(depth);
-                write_start_tag_open(&mut self.out, name, namespace_decls, attributes);
+                self.out.push('<');
+                self.out.push_str(&name.as_markup());
+                for d in namespace_decls {
+                    if d.prefix.is_empty() {
+                        self.out.push_str(" xmlns=\"");
+                    } else {
+                        self.out.push_str(" xmlns:");
+                        self.out.push_str(&d.prefix);
+                        self.out.push_str("=\"");
+                    }
+                    self.out.push_str(&escape_attr(&d.uri));
+                    self.out.push('"');
+                }
+                for a in attributes {
+                    self.out.push(' ');
+                    self.out.push_str(&a.name().as_markup());
+                    self.out.push_str("=\"");
+                    self.out.push_str(&escape_attr(a.value()));
+                    self.out.push('"');
+                }
                 let children = doc.children(id);
                 if children.is_empty() {
                     self.out.push_str("/>");
@@ -223,14 +186,22 @@ impl<'o> Writer<'o> {
             }
             NodeKind::Comment(c) => {
                 self.push_indent(depth);
-                write_comment_markup(&mut self.out, c);
+                self.out.push_str("<!--");
+                self.out.push_str(c);
+                self.out.push_str("-->");
                 if self.options.indent.is_some() {
                     self.out.push('\n');
                 }
             }
             NodeKind::ProcessingInstruction { target, data } => {
                 self.push_indent(depth);
-                write_pi_markup(&mut self.out, target, data);
+                self.out.push_str("<?");
+                self.out.push_str(target);
+                if !data.is_empty() {
+                    self.out.push(' ');
+                    self.out.push_str(data);
+                }
+                self.out.push_str("?>");
                 if self.options.indent.is_some() {
                     self.out.push('\n');
                 }
@@ -253,12 +224,6 @@ impl<'o> Writer<'o> {
         self.out = w.out;
         self.options = saved;
     }
-}
-
-/// Serializes the subtree rooted at `id` compactly, without a declaration.
-pub fn fragment_to_string(doc: &Document, id: NodeId) -> String {
-    let opts = WriteOptions::default().declaration(false);
-    Writer::new(&opts).write_fragment(doc, id)
 }
 
 #[cfg(test)]
@@ -312,7 +277,11 @@ mod tests {
     fn fragment_serialization() {
         let doc = Document::parse("<a><b id=\"x\">t</b></a>").unwrap();
         let b = doc.element_by_id("x").unwrap();
-        assert_eq!(fragment_to_string(&doc, b), "<b id=\"x\">t</b>");
+        let opts = WriteOptions::default().declaration(false);
+        assert_eq!(
+            Writer::new(&opts).write_fragment(&doc, b),
+            "<b id=\"x\">t</b>"
+        );
     }
 
     #[test]
