@@ -17,7 +17,7 @@ use navsep_hypermodel::AccessStructureKind;
 use navsep_web::{
     Handler, PoolConfig, Request, Response, ServerPool, ShardedSiteHandler, ShardedSiteStore,
 };
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// The store handler with a fixed per-request work floor, standing in for
@@ -97,7 +97,12 @@ fn drive(
                         let sent: Vec<_> = (0..burst.min(per_client - chunk * burst))
                             .map(|i| {
                                 let path = &paths[(c + chunk * burst + i) % paths.len()];
-                                (Instant::now(), pool.request(Request::get(path.clone())))
+                                let (tx, rx) = mpsc::channel();
+                                let start = Instant::now();
+                                pool.submit(Request::get(path.clone()), move |response| {
+                                    let _ = tx.send(response);
+                                });
+                                (start, rx)
                             })
                             .collect();
                         for (start, reply) in sent {

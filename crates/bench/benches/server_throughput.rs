@@ -1,6 +1,6 @@
-//! T5: serving throughput — the sharded, epoch-published site store versus
-//! the single-`RwLock` baseline, under concurrent readers and under
-//! publish churn.
+//! T5: serving throughput of the sharded, epoch-published site store,
+//! under concurrent readers and under publish churn, and the cost of a
+//! publish.
 //!
 //! The ROADMAP's north star is heavy traffic with cheap reweaves. The
 //! numbers here substantiate the two design moves of `navsep-web`'s store:
@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use navsep_bench::Setup;
 use navsep_core::weave_separated;
 use navsep_hypermodel::AccessStructureKind;
-use navsep_web::{Handler, Request, ShardedSiteHandler, ShardedSiteStore, Site, SiteHandler};
+use navsep_web::{Handler, Request, Resource, ShardedSiteHandler, ShardedSiteStore, Site};
 use navsep_xml::Document;
 use std::sync::Arc;
 use std::time::Instant;
@@ -57,18 +57,6 @@ fn bench_concurrent_readers(c: &mut Criterion) {
         let site = woven_site(pages);
         let paths = page_paths(&site);
         group.throughput(Throughput::Elements((READERS * GETS_PER_READER) as u64));
-
-        let single = SiteHandler::new(site.clone());
-        group.bench_with_input(
-            BenchmarkId::new("single_lock", pages),
-            &paths,
-            |b, paths| {
-                b.iter(|| {
-                    assert_eq!(hammer(&single, paths), READERS * GETS_PER_READER);
-                })
-            },
-        );
-
         let sharded = ShardedSiteHandler::new(Arc::new(ShardedSiteStore::from_site(16, &site)));
         group.bench_with_input(BenchmarkId::new("sharded", pages), &paths, |b, paths| {
             b.iter(|| {
@@ -79,48 +67,45 @@ fn bench_concurrent_readers(c: &mut Criterion) {
     group.finish();
 }
 
-/// Publishes racing the read workload in the during-publish group. Fixed,
-/// so both handler variants do identical total work per iteration; read
+/// Publishes racing the read workload in the during-publish group. Read
 /// work dominates (as in production), so the group measures reader
 /// throughput under churn rather than publish cost (the `publish` group
 /// isolates that).
 const PUBLISHES: usize = 8;
 const CHURN_ROUNDS: usize = 8;
 
+/// `site` with every document's root element marked `data-rev="b"`: a
+/// reweave that changes every page, so a publish alternating it with
+/// `site` swaps every shard (republishing an unchanged site is a no-op).
+fn rewoven(site: &Site) -> Site {
+    let mut out = site.clone();
+    for (path, res) in site.iter() {
+        if let Some(doc) = res.document() {
+            let mut doc = doc.clone();
+            let root = doc.root_element().expect("woven document has a root");
+            doc.set_attribute(root, "data-rev", "b");
+            out.put_resource(
+                path,
+                Resource::Document {
+                    media_type: res.media_type(),
+                    doc: Arc::new(doc),
+                },
+            );
+        }
+    }
+    out
+}
+
 fn bench_readers_under_publish_churn(c: &mut Criterion) {
-    // Same read workload, but a writer concurrently republishes the site
-    // PUBLISHES times; epoch swaps keep readers off the write path where
-    // the single lock stalls every reader for each whole-site replacement.
+    // Same read workload, but a writer concurrently publishes PUBLISHES
+    // reweaves of the site; epoch swaps keep readers off the write path.
     let mut group = c.benchmark_group("server_get_during_publish");
     let site = woven_site(32);
+    let variant = rewoven(&site);
     let paths = page_paths(&site);
     group.throughput(Throughput::Elements(
         (CHURN_ROUNDS * READERS * GETS_PER_READER) as u64,
     ));
-
-    let single = Arc::new(SiteHandler::new(site.clone()));
-    group.bench_with_input(
-        BenchmarkId::new("single_lock", 32usize),
-        &paths,
-        |b, paths| {
-            b.iter(|| {
-                std::thread::scope(|scope| {
-                    {
-                        let single = Arc::clone(&single);
-                        let site = site.clone();
-                        scope.spawn(move || {
-                            for _ in 0..PUBLISHES {
-                                single.publish(site.clone());
-                            }
-                        });
-                    }
-                    for _ in 0..CHURN_ROUNDS {
-                        assert_eq!(hammer(&*single, paths), READERS * GETS_PER_READER);
-                    }
-                })
-            })
-        },
-    );
 
     let store = Arc::new(ShardedSiteStore::from_site(16, &site));
     let sharded = ShardedSiteHandler::new(Arc::clone(&store));
@@ -129,10 +114,10 @@ fn bench_readers_under_publish_churn(c: &mut Criterion) {
             std::thread::scope(|scope| {
                 {
                     let store = Arc::clone(&store);
-                    let site = site.clone();
+                    let (site, variant) = (&site, &variant);
                     scope.spawn(move || {
-                        for _ in 0..PUBLISHES {
-                            store.publish(&site);
+                        for i in 0..PUBLISHES {
+                            store.publish_incremental(if i % 2 == 0 { variant } else { site });
                         }
                     });
                 }
@@ -146,21 +131,14 @@ fn bench_readers_under_publish_churn(c: &mut Criterion) {
 }
 
 fn bench_publish_cost(c: &mut Criterion) {
-    // The publish itself: single-lock copies under the write lock; the
-    // sharded store builds epochs off-lock and swaps pointers.
+    // The publish itself, for a whole site: every page rendered into a
+    // fresh store's shards, off-lock, then swapped in.
     let mut group = c.benchmark_group("publish");
     for pages in [16usize, 64] {
         let site = woven_site(pages);
         group.throughput(Throughput::Elements(site.len() as u64));
-
-        let single = SiteHandler::new(site.clone());
-        group.bench_with_input(BenchmarkId::new("single_lock", pages), &site, |b, site| {
-            b.iter(|| single.publish(site.clone()))
-        });
-
-        let store = ShardedSiteStore::from_site(16, &site);
-        group.bench_with_input(BenchmarkId::new("sharded", pages), &site, |b, site| {
-            b.iter(|| store.publish(site))
+        group.bench_with_input(BenchmarkId::new("from_scratch", pages), &site, |b, site| {
+            b.iter(|| ShardedSiteStore::new(16).publish_incremental(site))
         });
     }
     group.finish();
@@ -193,21 +171,21 @@ fn one_page_edit_pair() -> (Site, Site) {
 
 fn bench_incremental_publish(c: &mut Criterion) {
     // The acceptance scenario for incremental epoch publishing: a 1-page
-    // edit on the museum site. `full` re-renders every page into fresh
-    // shards; `incremental` diffs against the previous epoch, re-renders
-    // the one changed page, and reuses the rest verbatim — O(K), not
-    // O(site). Each iteration alternates the two variants so every
-    // publish really is a 1-page edit over the live epoch.
+    // edit on the museum site. `from_scratch` publishes the edited site
+    // into a fresh, empty store, rendering every page — O(site);
+    // `incremental` diffs against the previous epoch, re-renders the one
+    // changed page, and reuses the rest verbatim — O(K). Each iteration
+    // alternates the two variants so every incremental publish really is
+    // a 1-page edit over the live epoch.
     let (site_a, site_b) = one_page_edit_pair();
     let mut group = c.benchmark_group("incremental_publish");
     group.throughput(Throughput::Elements(1));
 
-    let full_store = ShardedSiteStore::from_site(16, &site_a);
     let mut flip = false;
-    group.bench_function(BenchmarkId::new("full", "1-page-edit"), |b| {
+    group.bench_function(BenchmarkId::new("from_scratch", "1-page-edit"), |b| {
         b.iter(|| {
             flip = !flip;
-            full_store.publish(if flip { &site_b } else { &site_a })
+            ShardedSiteStore::new(16).publish_incremental(if flip { &site_b } else { &site_a })
         })
     });
 
@@ -223,13 +201,13 @@ fn bench_incremental_publish(c: &mut Criterion) {
 
     // Headline ratio, measured back to back so it is directly citable.
     const ROUNDS: usize = 400;
-    let full = Instant::now();
+    let scratch = Instant::now();
     let mut flip = false;
     for _ in 0..ROUNDS {
         flip = !flip;
-        full_store.publish(if flip { &site_b } else { &site_a });
+        ShardedSiteStore::new(16).publish_incremental(if flip { &site_b } else { &site_a });
     }
-    let full = full.elapsed();
+    let scratch = scratch.elapsed();
     let incremental = Instant::now();
     let mut flip = false;
     for _ in 0..ROUNDS {
@@ -237,15 +215,15 @@ fn bench_incremental_publish(c: &mut Criterion) {
         inc_store.publish_incremental(if flip { &site_b } else { &site_a });
     }
     let incremental = incremental.elapsed();
-    let speedup = full.as_secs_f64() / incremental.as_secs_f64();
+    let speedup = scratch.as_secs_f64() / incremental.as_secs_f64();
     println!(
         "incremental_publish speedup (1-page edit, museum): {speedup:.1}x \
-         (full {full:?}, incremental {incremental:?}, {ROUNDS} publishes each)",
+         (from scratch {scratch:?}, incremental {incremental:?}, {ROUNDS} publishes each)",
     );
-    // The acceptance bar (ISSUE 5): a 1-page edit must beat the full
-    // publish by >= 3x. Asserted here (and run in CI) so a regression
+    // The acceptance bar: a 1-page edit must beat publishing the same site
+    // from scratch by >= 3x. Asserted here (and run in CI) so a regression
     // that erodes the reuse path fails loudly instead of going stale in
-    // the docs; measured headroom is ~5x, so the margin is real.
+    // the docs.
     assert!(
         speedup >= 3.0,
         "incremental publish regressed below the 3x acceptance bar: {speedup:.2}x"

@@ -45,7 +45,7 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 /// Pages in the served corpus (plus `index.html` and `style.css`).
@@ -220,7 +220,12 @@ where
                                 .iter()
                                 .map(|&s| {
                                     let request = make(s, step, &mut rng);
-                                    (Instant::now(), pool.request(request))
+                                    let (tx, rx) = mpsc::channel();
+                                    let start = Instant::now();
+                                    pool.submit(request, move |response| {
+                                        let _ = tx.send(response);
+                                    });
+                                    (start, rx)
                                 })
                                 .collect();
                             for (start, reply) in sent {
@@ -320,8 +325,7 @@ fn back_button_scenario(
                             };
                             let path = request.path().to_string();
                             let start = Instant::now();
-                            let response =
-                                pool.request(request).recv().expect("pool always answers");
+                            let response = pool.request_sync(request);
                             let ok = response.status().is_success();
                             tally
                                 .outcomes
@@ -716,7 +720,7 @@ fn main() {
     // The served store: a warm history of generations over a bounded ring.
     let store = Arc::new(ShardedSiteStore::with_retention(16, RETENTION));
     for revision in 1..=WARM_GENERATIONS {
-        store.publish(&corpus(revision));
+        store.publish_incremental(&corpus(revision));
     }
     let handler = Arc::new(ShardedSiteHandler::new(Arc::clone(&store)));
     let pool = ServerPool::start_with(

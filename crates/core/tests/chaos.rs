@@ -84,18 +84,19 @@ fn rule_draw() -> impl Strategy<Value = RuleDraw> {
         })
 }
 
+/// Every fault kind, as the draws pick them.
+const KINDS: &[FaultKind] = &[
+    FaultKind::Panic,
+    FaultKind::Error(String::new()),
+    FaultKind::Slow(Duration::from_millis(1)),
+];
+
 /// Materializes draws into a plan over `site_names`, mapping `kind` into
-/// `kinds` (layers pick which kinds make sense for them — e.g. the server
-/// layer excludes `Disconnect`).
-fn build_plan(
-    seed: u64,
-    draws: &[RuleDraw],
-    site_names: &[&str],
-    kinds: &[FaultKind],
-) -> FaultPlan {
+/// [`KINDS`].
+fn build_plan(seed: u64, draws: &[RuleDraw], site_names: &[&str]) -> FaultPlan {
     let mut plan = FaultPlan::new(seed);
     for draw in draws {
-        let kind = kinds[draw.kind % kinds.len()].clone();
+        let kind = KINDS[draw.kind % KINDS.len()].clone();
         let mut rule = FaultRule::at(site_names[draw.site % site_names.len()], kind);
         if let Some(times) = draw.times {
             rule = rule.times(times);
@@ -143,13 +144,6 @@ fn typed_fault_error(error: &CoreError) -> bool {
     matches!(error, CoreError::WorkerPanic { .. } | CoreError::Fault(_))
 }
 
-const WEAVE_KINDS: &[FaultKind] = &[
-    FaultKind::Panic,
-    FaultKind::Error(String::new()),
-    FaultKind::Slow(Duration::from_millis(1)),
-    FaultKind::Disconnect,
-];
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -167,7 +161,7 @@ proptest! {
         let sources = chaos_sources(painters, paintings, museum_seed);
         let reference = weave_separated(&sources).unwrap();
         for workers in [1usize, 2, 8] {
-            let plan = build_plan(plan_seed, &draws, &[sites::WEAVE_PAGE], WEAVE_KINDS);
+            let plan = build_plan(plan_seed, &draws, &[sites::WEAVE_PAGE]);
             let weave = Weave { workers, faults: Some(&plan), ..Weave::default() };
             match weave.run(&sources) {
                 Ok(out) => assert_byte_identical(
@@ -196,16 +190,10 @@ proptest! {
         // Store-level commit faults only; panics here unwind through
         // `try_publish_incremental` and are absorbed by the publisher's
         // catch_unwind + retry.
-        let kinds = [
-            FaultKind::Panic,
-            FaultKind::Error(String::new()),
-            FaultKind::Slow(Duration::from_millis(1)),
-        ];
         store.arm_faults(Arc::new(build_plan(
             plan_seed,
             &draws,
             &[sites::STORE_PUBLISH],
-            &kinds,
         )));
         let sources = chaos_sources(2, 2, plan_seed);
         let mut publisher = SitePublisher::new(sources, Arc::clone(&store));
@@ -270,21 +258,9 @@ proptest! {
             let woven = weave_separated(publisher.sources()).unwrap();
             woven.site.iter().map(|(p, _)| p.to_string()).collect()
         };
-        // Handler-level faults; `Disconnect` excluded (it has no meaning
-        // for an in-process handler — the panic case already models a
-        // dying worker).
-        let kinds = [
-            FaultKind::Panic,
-            FaultKind::Error(String::new()),
-            FaultKind::Slow(Duration::from_millis(1)),
-        ];
+        // Handler-level faults; a panic models a dying worker.
         for workers in [1usize, 2, 8] {
-            let plan = Arc::new(build_plan(
-                plan_seed,
-                &draws,
-                &[sites::SERVER_HANDLE],
-                &kinds,
-            ));
+            let plan = Arc::new(build_plan(plan_seed, &draws, &[sites::SERVER_HANDLE]));
             let handler = Arc::new(FaultInjectingHandler::new(
                 ShardedSiteHandler::new(Arc::clone(&store)),
                 Arc::clone(&plan),

@@ -74,14 +74,10 @@ pub enum FaultKind {
     Slow(Duration),
     /// Fail with a [`FaultError`] carrying this message.
     Error(String),
-    /// Abandon the surrounding channel/worker (sites that cannot
-    /// disconnect treat this as [`FaultKind::Error`]).
-    Disconnect,
 }
 
-/// The error produced when an [`FaultKind::Error`] (or `Disconnect`) rule
-/// fires. Carries the site and key so tests can assert *which* injection
-/// surfaced.
+/// The error produced when an [`FaultKind::Error`] rule fires. Carries
+/// the site and key so tests can assert *which* injection surfaced.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultError {
     /// The injection site that fired (one of [`sites`]).
@@ -338,9 +334,7 @@ pub fn injected_panic_message(site: &str, key: &str) -> String {
 
 /// Consults `plan` (if armed) at `site`/`key` and *acts* on the outcome:
 /// panics for [`FaultKind::Panic`], sleeps through [`FaultKind::Slow`], and
-/// returns a [`FaultError`] for [`FaultKind::Error`]/[`FaultKind::Disconnect`].
-/// Sites that handle `Disconnect` specially should call
-/// [`FaultPlan::decide`] directly.
+/// returns a [`FaultError`] for [`FaultKind::Error`].
 pub fn fire(plan: Option<&FaultPlan>, site: &str, key: &str) -> Result<(), FaultError> {
     let Some(plan) = plan else { return Ok(()) };
     match plan.decide(site, key) {
@@ -351,7 +345,6 @@ pub fn fire(plan: Option<&FaultPlan>, site: &str, key: &str) -> Result<(), Fault
             Ok(())
         }
         Some(FaultKind::Error(message)) => Err(FaultError::new(site, key, message)),
-        Some(FaultKind::Disconnect) => Err(FaultError::new(site, key, "disconnect")),
     }
 }
 
@@ -378,7 +371,7 @@ impl<H> FaultInjectingHandler<H> {
 impl<H: Handler> Handler for FaultInjectingHandler<H> {
     fn handle(&self, request: &Request) -> Response {
         match self.plan.decide(sites::SERVER_HANDLE, request.path()) {
-            Some(FaultKind::Panic) | Some(FaultKind::Disconnect) => {
+            Some(FaultKind::Panic) => {
                 panic!("injected fault: handler panic at [{}]", request.path())
             }
             Some(FaultKind::Slow(delay)) => std::thread::sleep(delay),

@@ -13,12 +13,12 @@
 //!   event-loop listener with keep-alive, pipelining, accept-time
 //!   connection-cap shedding, idle reaping, and graceful drain,
 //!   equivalence-tested byte-for-byte against the in-process handlers;
-//! * [`SiteHandler`]/[`ServerPool`] — a concurrent worker-pool server with
-//!   atomic re-publish (for re-weaving under load);
-//! * [`ShardedSiteStore`]/[`ShardedSiteHandler`] — the scale path: pages
-//!   partitioned across per-shard locks, publishes swapped in as immutable
-//!   generation-stamped epochs so readers never block on a weave, an
-//!   incremental publish path that reuses unchanged pages across
+//! * [`ServerPool`] — a concurrent worker-pool server with bounded-queue
+//!   shedding, deadlines, panic respawn and graceful drain;
+//! * [`ShardedSiteStore`]/[`ShardedSiteHandler`] — the one site store:
+//!   pages partitioned across per-shard locks, publishes swapped in as
+//!   immutable generation-stamped epochs so readers never block on a
+//!   weave, one publish path that reuses unchanged pages across
 //!   generations, and a bounded ring of retained epochs serving
 //!   time-travel reads (`x-navsep-at-generation`);
 //! * [`UserAgent`] — the XLink-aware browser: HTML anchors *and* XLink
@@ -32,8 +32,9 @@
 //! ## Quick start
 //!
 //! ```
-//! use navsep_web::{NavigationSession, Site, SiteHandler};
+//! use navsep_web::{NavigationSession, ShardedSiteHandler, ShardedSiteStore, Site};
 //! use navsep_xml::Document;
+//! use std::sync::Arc;
 //!
 //! let mut site = Site::new();
 //! site.put_page("index.html", Document::parse(
@@ -41,7 +42,8 @@
 //! site.put_page("guitar.html", Document::parse(
 //!     r#"<html><body><h1>Guitar</h1></body></html>"#)?);
 //!
-//! let mut session = NavigationSession::new(SiteHandler::new(site));
+//! let store = Arc::new(ShardedSiteStore::from_site(1, &site));
+//! let mut session = NavigationSession::new(ShardedSiteHandler::new(store));
 //! session.visit("index.html")?;
 //! session.follow("Guitar")?;
 //! assert_eq!(session.current_path(), Some("guitar.html"));
@@ -75,7 +77,7 @@ pub use history::{
 };
 pub use http::{Method, Request, Response, Status};
 pub use listener::{HttpListener, ListenerConfig, ListenerStats};
-pub use server::{Handler, PoolConfig, ServerPool, SiteHandler, RETRY_AFTER_HEADER, SHED_HEADER};
+pub use server::{Handler, PoolConfig, ServerPool, RETRY_AFTER_HEADER, SHED_HEADER};
 pub use session::{NavigationSession, SessionError, Visit};
 pub use site::{MediaType, Resource, Site};
 pub use store::{
@@ -93,7 +95,6 @@ mod tests {
     fn public_types_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Site>();
-        assert_send_sync::<SiteHandler>();
         assert_send_sync::<ShardedSiteStore>();
         assert_send_sync::<ShardedSiteHandler>();
         assert_send_sync::<Request>();

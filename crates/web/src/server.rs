@@ -1,19 +1,21 @@
-//! Serving a site: handler trait, site handler, and a concurrent worker pool.
+//! Serving a site: the handler trait and a concurrent worker pool.
 //!
 //! The pool exists to make the substrate honest as a *web* tier: requests
-//! are served concurrently from worker threads over a shared, read-locked
-//! site, the way a 2002-era document server would. `crossbeam` channels move
-//! requests in and responses out; `parking_lot::RwLock` guards the site so
-//! publishes (re-weaves) can swap content while reads continue.
+//! are served concurrently from worker threads over one shared handler —
+//! usually a [`ShardedSiteHandler`](crate::ShardedSiteHandler), whose
+//! epoch-published store lets publishes (re-weaves) swap content while
+//! reads continue. A bounded `crossbeam` channel moves requests in.
 //!
 //! ## Overload and failure contract
 //!
-//! [`ServerPool`] is hardened for overload and worker failure:
+//! [`ServerPool`] has two entry points: [`ServerPool::submit`] answers
+//! through a callback and never blocks (the event-loop listener's path),
+//! and [`ServerPool::request_sync`] submits and waits for the answer. Both
+//! share one contract, hardened for overload and worker failure:
 //!
 //! * the request queue is **bounded** ([`PoolConfig::queue_capacity`]);
-//!   [`ServerPool::request`] sheds excess load with a **503** carrying
-//!   [`RETRY_AFTER_HEADER`] (and [`SHED_HEADER`] naming the reason), while
-//!   [`ServerPool::request_blocking`] applies condvar backpressure instead;
+//!   a request that finds it full is **shed** with a **503** carrying
+//!   [`RETRY_AFTER_HEADER`] (and [`SHED_HEADER`] naming the reason);
 //! * an optional **per-request deadline** ([`PoolConfig::deadline`]) sheds
 //!   requests that waited in the queue longer than the deadline, again as
 //!   503 + retry-after;
@@ -24,10 +26,8 @@
 //!   queued-but-unstarted ones are shed with a 503, and every accepted
 //!   request is answered before shutdown returns.
 
-use crate::http::{Method, Request, Response};
-use crate::site::Site;
+use crate::http::{Request, Response};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
-use parking_lot::RwLock;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -55,70 +55,12 @@ impl<H: Handler + ?Sized> Handler for Arc<H> {
     }
 }
 
-/// Serves a [`Site`] read-locked behind `parking_lot::RwLock`.
-#[derive(Debug, Default)]
-pub struct SiteHandler {
-    site: RwLock<Site>,
-    served: AtomicU64,
-}
-
-impl SiteHandler {
-    /// Creates a handler serving `site`.
-    pub fn new(site: Site) -> Self {
-        SiteHandler {
-            site: RwLock::new(site),
-            served: AtomicU64::new(0),
-        }
-    }
-
-    /// Atomically replaces the served site (e.g. after re-weaving).
-    pub fn publish(&self, site: Site) {
-        *self.site.write() = site;
-    }
-
-    /// Runs `f` with read access to the current site.
-    pub fn with_site<R>(&self, f: impl FnOnce(&Site) -> R) -> R {
-        f(&self.site.read())
-    }
-
-    /// Total requests handled since construction.
-    pub fn requests_served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
-    }
-}
-
-impl Handler for SiteHandler {
-    fn handle(&self, request: &Request) -> Response {
-        self.served.fetch_add(1, Ordering::Relaxed);
-        if !request.method().is_supported() {
-            return Response::method_not_allowed();
-        }
-        // Normalize at the handler boundary: wire requests arrive as
-        // `/a.xml`, in-process callers and site keys use `a.xml`. Every
-        // downstream use (lookup AND the 404 body) sees the bare key, so
-        // the two spellings produce byte-identical responses.
-        let path = request.path().trim_start_matches('/');
-        let site = self.site.read();
-        match site.get(path) {
-            Some(res) => {
-                let response = Response::ok(res.media_type().as_str(), res.to_bytes());
-                match request.method() {
-                    Method::Head => response.without_body(),
-                    _ => response,
-                }
-            }
-            None => Response::not_found(path),
-        }
-    }
-}
-
 /// Sizing and robustness knobs for a [`ServerPool`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolConfig {
     /// Worker thread count (must be nonzero).
     pub workers: usize,
-    /// Bound on queued-but-unstarted requests; [`ServerPool::request`]
-    /// sheds beyond it, [`ServerPool::request_blocking`] blocks.
+    /// Bound on queued-but-unstarted requests; the pool sheds beyond it.
     pub queue_capacity: usize,
     /// If set, a request that waited in the queue longer than this is shed
     /// with a 503 instead of being handled.
@@ -158,32 +100,12 @@ impl PoolConfig {
     }
 }
 
-/// Where a job's response goes: a bounded channel (the blocking callers)
-/// or a boxed callback (the event-loop listener, whose connections must
-/// complete asynchronously — no thread may park on a `recv`).
-enum ReplyTo {
-    Channel(Sender<Response>),
-    Callback(Box<dyn FnOnce(Response) + Send>),
-}
-
-impl ReplyTo {
-    /// Delivers the response. Channel sends to a gone receiver are
-    /// silently dropped (the client stopped waiting); callbacks always
-    /// run — they are how the listener learns a connection can progress.
-    fn deliver(self, response: Response) {
-        match self {
-            ReplyTo::Channel(tx) => {
-                let _ = tx.send(response);
-            }
-            ReplyTo::Callback(callback) => callback(response),
-        }
-    }
-}
-
 struct Job {
     request: Request,
     enqueued: Instant,
-    reply: ReplyTo,
+    /// Always run exactly once: it is how an event-loop connection learns
+    /// it can progress, and how [`ServerPool::request_sync`] wakes up.
+    reply: Box<dyn FnOnce(Response) + Send>,
 }
 
 enum Event {
@@ -211,6 +133,12 @@ impl PoolShared {
             .with_header(RETRY_AFTER_HEADER, self.retry_after_ms.to_string())
             .with_header(SHED_HEADER, reason)
     }
+
+    /// Answers `job` with a 503 shed response, counting it as shed.
+    fn shed(&self, job: Job, reason: &str) {
+        self.requests_shed.fetch_add(1, Ordering::SeqCst);
+        (job.reply)(self.shed_response(reason));
+    }
 }
 
 fn spawn_worker(id: u64, shared: Arc<PoolShared>, jobs: Receiver<Job>) -> JoinHandle<()> {
@@ -220,30 +148,27 @@ fn spawn_worker(id: u64, shared: Arc<PoolShared>, jobs: Receiver<Job>) -> JoinHa
         .spawn(move || {
             while let Ok(job) = jobs.recv() {
                 if shared.draining.load(Ordering::SeqCst) {
-                    shared.requests_shed.fetch_add(1, Ordering::SeqCst);
-                    job.reply.deliver(shared.shed_response("draining"));
+                    shared.shed(job, "draining");
                     continue;
                 }
                 if let Some(deadline) = shared.deadline {
                     if job.enqueued.elapsed() > deadline {
                         shared.requests_timed_out.fetch_add(1, Ordering::SeqCst);
-                        job.reply.deliver(shared.shed_response("deadline"));
+                        (job.reply)(shared.shed_response("deadline"));
                         continue;
                     }
                 }
                 let outcome =
                     catch_unwind(AssertUnwindSafe(|| shared.handler.handle(&job.request)));
                 match outcome {
-                    Ok(response) => {
-                        job.reply.deliver(response);
-                    }
+                    Ok(response) => (job.reply)(response),
                     Err(_) => {
                         // The request that took the worker down still gets an
                         // explicit answer, then the worker exits and the
                         // supervisor replaces it (a fresh thread is the only
                         // state we can vouch for after a panic).
                         shared.panics_absorbed.fetch_add(1, Ordering::SeqCst);
-                        job.reply.deliver(
+                        (job.reply)(
                             Response::server_error("request handler panicked")
                                 .with_header(RETRY_AFTER_HEADER, shared.retry_after_ms.to_string()),
                         );
@@ -263,14 +188,15 @@ fn spawn_worker(id: u64, shared: Arc<PoolShared>, jobs: Receiver<Job>) -> JoinHa
 /// # Examples
 ///
 /// ```
-/// use navsep_web::{Request, ServerPool, Site, SiteHandler};
+/// use navsep_web::{Request, ServerPool, ShardedSiteHandler, ShardedSiteStore, Site};
 /// use navsep_xml::Document;
 /// use std::sync::Arc;
 ///
 /// let mut site = Site::new();
 /// site.put_document("a.xml", Document::parse("<a/>")?);
-/// let pool = ServerPool::start(Arc::new(SiteHandler::new(site)), 4);
-/// let response = pool.request(Request::get("a.xml")).recv().unwrap();
+/// let store = Arc::new(ShardedSiteStore::from_site(1, &site));
+/// let pool = ServerPool::start(Arc::new(ShardedSiteHandler::new(store)), 4);
+/// let response = pool.request_sync(Request::get("a.xml"));
 /// assert!(response.status().is_success());
 /// pool.shutdown();
 /// # Ok::<(), navsep_xml::ParseXmlError>(())
@@ -362,8 +288,7 @@ impl ServerPool {
                     // If every worker panicked away during the drain, queued
                     // jobs may remain; answer them so no client ever hangs.
                     while let Ok(job) = jobs_rx.try_recv() {
-                        shared.requests_shed.fetch_add(1, Ordering::SeqCst);
-                        job.reply.deliver(shared.shed_response("draining"));
+                        shared.shed(job, "draining");
                     }
                 })
                 .expect("failed to spawn pool supervisor")
@@ -377,103 +302,46 @@ impl ServerPool {
         }
     }
 
-    /// Submits a request; the response arrives on the returned channel.
+    /// Submits a request whose answer arrives via `on_reply`, for callers
+    /// that must not park a thread (the event-loop listener).
     ///
-    /// Never blocks: if the bounded queue is full the request is **shed**
-    /// immediately and the channel yields a 503 with
-    /// [`RETRY_AFTER_HEADER`]. Every returned channel yields exactly one
-    /// response.
-    pub fn request(&self, request: Request) -> Receiver<Response> {
-        let (tx, rx) = channel::bounded(1);
-        self.enqueue(Job {
-            request,
-            enqueued: Instant::now(),
-            reply: ReplyTo::Channel(tx),
-        });
-        rx
-    }
-
-    /// Submits a request whose answer arrives via `on_reply` — the
-    /// **asynchronous** twin of [`request`](ServerPool::request), for
-    /// callers that must not park a thread (the event-loop listener).
-    ///
-    /// Same non-blocking shed contract: a full queue or a draining pool
-    /// invokes `on_reply` immediately (on the calling thread) with the
-    /// 503 + [`RETRY_AFTER_HEADER`] shed response; otherwise `on_reply`
-    /// runs later on a worker thread. Exactly one invocation either way —
-    /// the callback is how a connection learns it can progress, so it is
-    /// never dropped unrun.
+    /// Never blocks: a full queue or a draining pool invokes `on_reply`
+    /// immediately (on the calling thread) with the 503 +
+    /// [`RETRY_AFTER_HEADER`] shed response; otherwise `on_reply` runs
+    /// later on a worker thread. Exactly one invocation either way — the
+    /// callback is how a connection learns it can progress, so it is never
+    /// dropped unrun.
     pub fn submit(&self, request: Request, on_reply: impl FnOnce(Response) + Send + 'static) {
-        self.enqueue(Job {
+        let job = Job {
             request,
             enqueued: Instant::now(),
-            reply: ReplyTo::Callback(Box::new(on_reply)),
-        });
-    }
-
-    /// Non-blocking enqueue with the shared shed behavior: queue-full and
-    /// draining both answer immediately through the job's own reply path.
-    fn enqueue(&self, job: Job) {
+            reply: Box::new(on_reply),
+        };
         let Some(jobs) = &self.jobs else {
-            self.shared.requests_shed.fetch_add(1, Ordering::SeqCst);
-            job.reply.deliver(self.shared.shed_response("draining"));
+            self.shared.shed(job, "draining");
             return;
         };
         match jobs.try_send(job) {
             Ok(()) => {}
-            Err(TrySendError::Full(job)) => {
-                self.shared.requests_shed.fetch_add(1, Ordering::SeqCst);
-                job.reply.deliver(self.shared.shed_response("queue-full"));
-            }
-            Err(TrySendError::Disconnected(job)) => {
-                self.shared.requests_shed.fetch_add(1, Ordering::SeqCst);
-                job.reply.deliver(self.shared.shed_response("draining"));
-            }
+            Err(TrySendError::Full(job)) => self.shared.shed(job, "queue-full"),
+            Err(TrySendError::Disconnected(job)) => self.shared.shed(job, "draining"),
         }
     }
 
-    /// Submits a request, **blocking** while the queue is full (condvar
-    /// backpressure) instead of shedding. Deadlines still apply from the
-    /// moment the request is accepted into the queue.
-    pub fn request_blocking(&self, request: Request) -> Receiver<Response> {
-        let (tx, rx) = channel::bounded(1);
-        let job = Job {
-            request,
-            enqueued: Instant::now(),
-            reply: ReplyTo::Channel(tx),
-        };
-        match &self.jobs {
-            Some(jobs) => {
-                if let Err(send_error) = jobs.send(job) {
-                    let job = send_error.0;
-                    self.shared.requests_shed.fetch_add(1, Ordering::SeqCst);
-                    job.reply.deliver(self.shared.shed_response("draining"));
-                }
-            }
-            None => {
-                self.shared.requests_shed.fetch_add(1, Ordering::SeqCst);
-                job.reply.deliver(self.shared.shed_response("draining"));
-            }
-        }
-        rx
-    }
-
-    /// Convenience: submit (blocking at capacity) and wait.
+    /// Convenience: [`submit`](Self::submit) and wait for the answer, with
+    /// the same shed contract (a full queue answers 503 at once).
     ///
     /// The pool contract is that every accepted request is answered, but a
     /// client must not be able to *panic* on a contract violation — if the
-    /// reply channel is ever dropped without a send (a pool bug, or a
-    /// future refactor missing a path), the caller gets an explicit 503
-    /// shed response ([`SHED_HEADER`]` : reply-dropped`) instead.
+    /// reply is ever dropped without being sent (a pool bug, or a future
+    /// refactor missing a path), the caller gets an explicit 503 shed
+    /// response ([`SHED_HEADER`]` : reply-dropped`) instead.
     pub fn request_sync(&self, request: Request) -> Response {
-        self.await_reply(self.request_blocking(request))
-    }
-
-    /// Resolves a reply channel into a response, degrading a dropped
-    /// channel to a 503 instead of panicking.
-    fn await_reply(&self, reply: Receiver<Response>) -> Response {
-        reply
-            .recv()
+        let (tx, rx) = channel::bounded(1);
+        self.submit(request, move |response| {
+            let _ = tx.send(response);
+        });
+        rx.recv()
             .unwrap_or_else(|_| self.shared.shed_response("reply-dropped"))
     }
 
@@ -530,6 +398,9 @@ impl Drop for ServerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::site::Site;
+    use crate::store::test_support::serve;
+    use crate::store::ShardedSiteHandler;
     use navsep_xml::Document;
 
     fn site() -> Site {
@@ -539,69 +410,21 @@ mod tests {
         s
     }
 
-    #[test]
-    fn site_handler_serves_get_and_head() {
-        let h = SiteHandler::new(site());
-        let get = h.handle(&Request::get("a.xml"));
-        assert!(get.status().is_success());
-        assert!(get.body_text().contains("hello"));
-        assert_eq!(get.content_type(), Some("application/xml"));
-        let head = h.handle(&Request::head("a.xml"));
-        assert!(head.status().is_success());
-        assert!(head.body().is_empty());
-        assert_eq!(h.requests_served(), 2);
-    }
-
-    #[test]
-    fn missing_resource_is_404() {
-        let h = SiteHandler::new(site());
-        let r = h.handle(&Request::get("ghost.xml"));
-        assert_eq!(r.status().code(), 404);
-    }
-
-    #[test]
-    fn slashed_and_bare_paths_serve_identically() {
-        let h = SiteHandler::new(site());
-        assert_eq!(
-            h.handle(&Request::get("/a.xml")),
-            h.handle(&Request::get("a.xml"))
-        );
-        assert_eq!(
-            h.handle(&Request::head("/a.xml")),
-            h.handle(&Request::head("a.xml"))
-        );
-        // Including the 404 body, which names the path.
-        assert_eq!(
-            h.handle(&Request::get("/ghost.xml")),
-            h.handle(&Request::get("ghost.xml"))
-        );
-        assert!(h.handle(&Request::get("/a.xml")).status().is_success());
-    }
-
-    #[test]
-    fn unsupported_methods_answer_405() {
-        let h = SiteHandler::new(site());
-        for method in [
-            Method::Post,
-            Method::Put,
-            Method::Delete,
-            Method::Options,
-            Method::Other,
-        ] {
-            let r = h.handle(&Request::new(method, "a.xml"));
-            assert_eq!(r.status().code(), 405, "{method}");
-            assert_eq!(r.header_value("allow"), Some("GET, HEAD"));
-        }
+    fn handler() -> Arc<ShardedSiteHandler> {
+        Arc::new(serve(&site()))
     }
 
     #[test]
     fn dropped_reply_channel_degrades_to_shed_not_panic() {
-        let pool = ServerPool::start(Arc::new(SiteHandler::new(site())), 1);
-        // Simulate the contract violation directly: a reply channel whose
-        // sender is gone without ever sending.
-        let (tx, rx) = channel::bounded::<Response>(1);
-        drop(tx);
-        let response = pool.await_reply(rx);
+        let mut pool = ServerPool::start(handler(), 1);
+        // Simulate the contract violation directly: a queue whose consumer
+        // drops the job without ever running its reply.
+        let (tx, rx) = channel::bounded::<Job>(1);
+        pool.jobs = Some(tx);
+        let response = std::thread::scope(|scope| {
+            scope.spawn(|| drop(rx.recv()));
+            pool.request_sync(Request::get("a.xml"))
+        });
         assert_eq!(response.status().code(), 503);
         assert_eq!(response.header_value(SHED_HEADER), Some("reply-dropped"));
         assert!(response.header_value(RETRY_AFTER_HEADER).is_some());
@@ -610,7 +433,7 @@ mod tests {
 
     #[test]
     fn submit_delivers_through_the_callback() {
-        let pool = ServerPool::start(Arc::new(SiteHandler::new(site())), 2);
+        let pool = ServerPool::start(handler(), 2);
         let (tx, rx) = channel::bounded(1);
         pool.submit(Request::get("a.xml"), move |response| {
             tx.send(response).unwrap();
@@ -622,7 +445,7 @@ mod tests {
 
     #[test]
     fn submit_while_draining_sheds_through_the_callback() {
-        let pool = ServerPool::start(Arc::new(SiteHandler::new(site())), 1);
+        let pool = ServerPool::start(handler(), 1);
         pool.shared.draining.store(true, Ordering::SeqCst);
         let (tx, rx) = channel::bounded(1);
         pool.submit(Request::get("a.xml"), move |response| {
@@ -635,34 +458,27 @@ mod tests {
     }
 
     #[test]
-    fn publish_swaps_content() {
-        let h = SiteHandler::new(site());
-        let mut new_site = Site::new();
-        new_site.put_document("a.xml", Document::parse("<a>rewoven</a>").unwrap());
-        h.publish(new_site);
-        let r = h.handle(&Request::get("a.xml"));
-        assert!(r.body_text().contains("rewoven"));
-    }
-
-    #[test]
     fn pool_serves_concurrently() {
-        let pool = ServerPool::start(Arc::new(SiteHandler::new(site())), 4);
+        let pool = ServerPool::start(handler(), 4);
         assert_eq!(pool.workers(), 4);
-        let receivers: Vec<_> = (0..64)
-            .map(|i| {
-                let path = if i % 2 == 0 { "a.xml" } else { "style.css" };
-                pool.request(Request::get(path))
-            })
-            .collect();
-        for rx in receivers {
-            assert!(rx.recv().unwrap().status().is_success());
+        let (tx, rx) = channel::unbounded();
+        for i in 0..64 {
+            let path = if i % 2 == 0 { "a.xml" } else { "style.css" };
+            let tx = tx.clone();
+            pool.submit(Request::get(path), move |response| {
+                tx.send(response).unwrap();
+            });
         }
+        drop(tx);
+        let responses: Vec<Response> = rx.iter().collect();
+        assert_eq!(responses.len(), 64);
+        assert!(responses.iter().all(|r| r.status().is_success()));
         pool.shutdown();
     }
 
     #[test]
     fn pool_request_sync() {
-        let pool = ServerPool::start(Arc::new(SiteHandler::new(site())), 2);
+        let pool = ServerPool::start(handler(), 2);
         let r = pool.request_sync(Request::get("style.css"));
         assert_eq!(r.content_type(), Some("text/css"));
         // Drop without explicit shutdown must not hang.
@@ -670,13 +486,13 @@ mod tests {
 
     #[test]
     fn publish_under_load_is_safe() {
-        let handler = Arc::new(SiteHandler::new(site()));
+        let handler = handler();
         let pool = ServerPool::start(Arc::clone(&handler), 4);
         for i in 0..32 {
             if i % 8 == 0 {
                 let mut s = site();
                 s.put_text("version.txt", format!("v{i}"));
-                handler.publish(s);
+                handler.store().publish_incremental(&s);
             }
             let r = pool.request_sync(Request::get("a.xml"));
             assert!(r.status().is_success());

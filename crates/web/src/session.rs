@@ -91,8 +91,9 @@ pub struct Visit {
 /// # Examples
 ///
 /// ```
-/// use navsep_web::{NavigationSession, Site, SiteHandler};
+/// use navsep_web::{NavigationSession, ShardedSiteHandler, ShardedSiteStore, Site};
 /// use navsep_xml::Document;
+/// use std::sync::Arc;
 ///
 /// let mut site = Site::new();
 /// site.put_page("a.html", Document::parse(
@@ -100,7 +101,8 @@ pub struct Visit {
 /// site.put_page("b.html", Document::parse(
 ///     r#"<html><body>done</body></html>"#)?);
 ///
-/// let mut session = NavigationSession::new(SiteHandler::new(site));
+/// let store = Arc::new(ShardedSiteStore::from_site(1, &site));
+/// let mut session = NavigationSession::new(ShardedSiteHandler::new(store));
 /// session.visit("a.html")?;
 /// session.follow("to b")?;
 /// assert_eq!(session.current_path(), Some("b.html"));
@@ -450,11 +452,16 @@ impl<H: Handler> NavigationSession<H> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::SiteHandler;
     use crate::site::Site;
+    use crate::store::test_support::{serve, Unversioned};
+    use crate::store::ShardedSiteHandler;
     use navsep_xml::Document;
 
-    fn three_page_site() -> SiteHandler {
+    fn three_page_site() -> ShardedSiteHandler {
+        serve(&three_pages())
+    }
+
+    fn three_pages() -> Site {
         let mut site = Site::new();
         site.put_page(
             "index.html",
@@ -482,7 +489,7 @@ mod tests {
             )
             .unwrap(),
         );
-        SiteHandler::new(site)
+        site
     }
 
     #[test]
@@ -589,8 +596,8 @@ mod tests {
         assert_eq!(entries[1].locator.as_deref(), Some("guitar.html"));
         assert_eq!(entries[2].locator.as_deref(), Some("guernica.html"));
         assert_eq!(entries[2].context.as_deref(), Some("by-painter:picasso"));
-        // Single-lock handler: no generations recorded.
-        assert_eq!(entries[2].generation, None);
+        // The store stamps every entry with the generation that served it.
+        assert_eq!(entries[2].generation, Some(1));
     }
 
     #[test]
@@ -608,8 +615,13 @@ mod tests {
         let mut s = NavigationSession::new(ShardedSiteHandler::new(Arc::clone(&store)));
         s.visit("a.html").unwrap();
         assert_eq!(s.current_generation(), Some(1));
-        // A reweave lands between two follows; the session sees it.
-        store.publish(&site);
+        // A reweave that changes b.html lands between two follows; the
+        // session sees it.
+        site.put_page(
+            "b.html",
+            Document::parse("<html><body>rewoven</body></html>").unwrap(),
+        );
+        store.publish_incremental(&site);
         s.follow("b").unwrap();
         assert_eq!(s.current_generation(), Some(2));
         let gens: Vec<Option<u64>> = s.trace().iter().map(|v| v.generation).collect();
@@ -632,7 +644,11 @@ mod tests {
         s.visit("a.html").unwrap();
         assert_eq!(s.revalidate().unwrap(), Freshness::Fresh);
 
-        store.publish(&site);
+        site.put_page(
+            "a.html",
+            Document::parse("<html><body>rewoven</body></html>").unwrap(),
+        );
+        store.publish_incremental(&site);
         assert_eq!(
             s.revalidate().unwrap(),
             Freshness::Stale {
@@ -646,7 +662,7 @@ mod tests {
         assert_eq!(s.revalidate().unwrap(), Freshness::Fresh);
 
         // Handlers without generations classify Unknown.
-        let mut plain = NavigationSession::new(three_page_site());
+        let mut plain = NavigationSession::new(Unversioned(three_pages()));
         plain.visit("index.html").unwrap();
         assert_eq!(plain.revalidate().unwrap(), Freshness::Unknown);
     }
@@ -712,7 +728,7 @@ mod tests {
         site.put_page("b.html", Document::parse("<html><body/></html>").unwrap());
         // Retention 1: no history epochs survive a publish.
         let store = Arc::new(ShardedSiteStore::with_retention(4, 1));
-        store.publish(&site);
+        store.publish_incremental(&site);
         let mut s = NavigationSession::new(ShardedSiteHandler::new(Arc::clone(&store)));
         s.visit("a.html").unwrap();
         s.follow("b").unwrap();
@@ -730,8 +746,8 @@ mod tests {
     }
 
     #[test]
-    fn single_lock_handler_has_no_generation() {
-        let mut s = NavigationSession::new(three_page_site());
+    fn unversioned_handler_has_no_generation() {
+        let mut s = NavigationSession::new(Unversioned(three_pages()));
         s.visit("index.html").unwrap();
         assert_eq!(s.current_generation(), None);
         assert_eq!(s.trace()[0].generation, None);
@@ -778,7 +794,7 @@ mod tests {
             AccessStructureKind::GuidedTour,
         )
         .unwrap();
-        let mut s = NavigationSession::new(SiteHandler::new(site));
+        let mut s = NavigationSession::new(serve(&site));
         s.visit("index.html").unwrap();
         s.set_route(RouteGuard::new(
             &RouteSpec::parse("any/next*").unwrap(),

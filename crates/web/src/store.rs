@@ -1,9 +1,8 @@
-//! The sharded, epoch-published site store — the scale path past one lock.
+//! The sharded, epoch-published site store every server serves from.
 //!
-//! [`SiteHandler`](crate::SiteHandler) guards the whole [`Site`] behind a
-//! single `RwLock`, so a publish (re-weave) write-locks every reader out at
-//! once and every read contends on one lock word. [`ShardedSiteStore`]
-//! removes both bottlenecks:
+//! A single `RwLock` around the whole [`Site`] would let a publish
+//! (re-weave) write-lock every reader out at once and make every read
+//! contend on one lock word. [`ShardedSiteStore`] avoids both:
 //!
 //! * **Sharding** — resources are partitioned across N shards by a stable
 //!   hash of the page id (the path), so concurrent readers of different
@@ -22,13 +21,11 @@
 //!
 //! Immutability buys a second win: response bodies are **serialized once
 //! at publish time** and served as refcounted [`bytes::Bytes`] clones, so
-//! a `GET` allocates nothing — where the single-lock handler re-serializes
-//! the document on every request.
+//! a `GET` allocates nothing and never re-serializes a document.
 //!
 //! ## Incremental publishing
 //!
-//! [`publish`](ShardedSiteStore::publish) re-renders and re-allocates every
-//! page into fresh shard snapshots — O(site) work even for a one-page edit.
+//! There is one publish path.
 //! [`publish_incremental`](ShardedSiteStore::publish_incremental) diffs the
 //! new site against the previous epoch per shard, keyed by a stable content
 //! key ([`navsep_xml::Document::content_hash`] for documents, an FNV of the
@@ -37,7 +34,12 @@
 //! changed pages are not swapped at all — they keep their old snapshot and
 //! its old generation stamp. A K-page edit republishes O(K) pages, not
 //! O(site); `cargo bench -p navsep-bench --bench server_throughput`
-//! (`incremental_publish` group) quantifies the gap.
+//! (`incremental_publish` group) quantifies the gap against publishing the
+//! same site into an empty store. A generation stamp therefore always
+//! names the generation that last *changed* a page's shard, which is what
+//! history entries record and stale checks compare.
+//! [`from_site`](ShardedSiteStore::from_site) is the same path run on an
+//! empty predecessor, so it renders every page.
 //!
 //! ## Retained epochs and time travel
 //!
@@ -54,7 +56,7 @@
 //! ring while older *unpinned* epochs are evicted first (the ring stays
 //! bounded: if every candidate is pinned the oldest goes anyway).
 
-use crate::fault::{self, FaultError, FaultKind, FaultPlan};
+use crate::fault::{self, FaultError, FaultPlan};
 use crate::http::{Method, Request, Response};
 use crate::server::Handler;
 use crate::site::{Resource, Site};
@@ -119,9 +121,8 @@ fn content_key(res: &Resource) -> u64 {
 /// the incremental diff compares.
 ///
 /// Epoch snapshots are immutable, so the transmitted bytes of a resource
-/// cannot change until the next publish — serializing per `GET` (what
-/// [`SiteHandler`](crate::SiteHandler) must do over its mutable [`Site`])
-/// would redo identical work on every request.
+/// cannot change until the next publish — serializing per `GET` would redo
+/// identical work on every request.
 #[derive(Debug)]
 struct Published {
     resource: Resource,
@@ -248,7 +249,7 @@ impl Drop for EpochPin<'_> {
 ///
 /// let store = ShardedSiteStore::new(4);
 /// assert_eq!(store.generation(), 0);
-/// let generation = store.publish(&site);
+/// let generation = store.publish_incremental(&site).generation;
 /// assert_eq!(generation, 1);
 ///
 /// let read = store.get("a.xml").expect("published");
@@ -307,11 +308,8 @@ impl ShardedSiteStore {
     /// counts, so `retain = 1` keeps no history at all).
     ///
     /// Retention costs memory proportional to what *changed* between the
-    /// retained epochs: incremental publishes share unchanged shards
-    /// between epochs, but every **full** [`publish`](Self::publish)
-    /// re-renders everything, so a store fed only full publishes holds up
-    /// to `retain` complete site copies. A store that never serves
-    /// time-travel reads should use `retain = 1`.
+    /// retained epochs: publishes share unchanged shards between epochs.
+    /// A store that never serves time-travel reads should use `retain = 1`.
     ///
     /// # Panics
     ///
@@ -362,36 +360,14 @@ impl ShardedSiteStore {
             return Ok(());
         }
         let plan = self.faults.read().clone();
-        let Some(plan) = plan else { return Ok(()) };
-        match plan.decide(fault::sites::STORE_PUBLISH, "commit") {
-            None => Ok(()),
-            Some(FaultKind::Panic) => {
-                panic!(
-                    "{}",
-                    fault::injected_panic_message(fault::sites::STORE_PUBLISH, "commit")
-                )
-            }
-            Some(FaultKind::Slow(delay)) => {
-                std::thread::sleep(delay);
-                Ok(())
-            }
-            Some(FaultKind::Error(message)) => Err(FaultError::new(
-                fault::sites::STORE_PUBLISH,
-                "commit",
-                message,
-            )),
-            Some(FaultKind::Disconnect) => Err(FaultError::new(
-                fault::sites::STORE_PUBLISH,
-                "commit",
-                "disconnect",
-            )),
-        }
+        fault::fire(plan.as_deref(), fault::sites::STORE_PUBLISH, "commit")
     }
 
-    /// A store seeded with `site` as generation 1.
+    /// A store seeded with `site` as generation 1: a publish onto an empty
+    /// predecessor, so every page is rendered.
     pub fn from_site(shards: usize, site: &Site) -> Self {
         let store = Self::new(shards);
-        store.publish(site);
+        store.publish_incremental(site);
         store
     }
 
@@ -420,68 +396,18 @@ impl ShardedSiteStore {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// Publishes `site` as the next generation, returning that generation.
-    ///
-    /// This is the **full** path: every resource is re-rendered into fresh
-    /// shard snapshots. The new snapshots are built *before* any lock is
-    /// taken; readers keep being served from the previous epoch for the
-    /// whole build. The swap itself write-locks each shard just long
-    /// enough to replace one `Arc` pointer. Concurrent publishes are
-    /// serialized, so per-shard generations are monotone.
-    ///
-    /// For reweaves that change few pages, prefer
-    /// [`publish_incremental`](Self::publish_incremental).
-    pub fn publish(&self, site: &Site) -> u64 {
-        let n = self.shards.len();
-        let mut partitions: Vec<BTreeMap<Arc<str>, Arc<Published>>> =
-            (0..n).map(|_| BTreeMap::new()).collect();
-        for (path, res) in site.shared_entries() {
-            // Render once here so every GET of this epoch is allocation-free.
-            let published = Published {
-                body: res.to_bytes(),
-                content_key: content_key(res),
-                resource: res.clone(),
-            };
-            partitions[self.shard_of(path)].insert(Arc::clone(path), Arc::new(published));
-        }
-        let _swap_guard = self.publish_lock.lock();
-        // The publish lock serializes publishers, so load+store is race-free
-        // here; the counter is advanced only AFTER every shard serves the
-        // new epoch, keeping `generation()`'s contract (see its doc).
-        let generation = self.generation.load(Ordering::Acquire) + 1;
-        let epoch_shards: Vec<Arc<Shard>> = partitions
-            .into_iter()
-            .map(|resources| {
-                Arc::new(Shard {
-                    generation,
-                    resources,
-                })
-            })
-            .collect();
-        // Retain the epoch BEFORE swapping the live shards: a reader that
-        // observes a generation-N stamp must already be able to `get_at`
-        // it (serving an epoch slightly before its swap completes is
-        // harmless — it is real published data).
-        self.push_epoch(Epoch {
-            generation,
-            shards: epoch_shards.clone(),
-        });
-        for (shard, snapshot) in self.shards.iter().zip(epoch_shards) {
-            *shard.write() = snapshot;
-        }
-        self.generation.store(generation, Ordering::Release);
-        generation
-    }
-
     /// Publishes `site` as the next generation by **diffing against the
     /// previous epoch**: entries whose content key is unchanged reuse the
     /// previous `Arc<Published>` verbatim (no render, no allocation), and
     /// shards with no changed, added, or removed entries are not swapped
     /// at all — they keep their old snapshot and its old generation stamp.
+    /// On an empty store every entry is new, so every page is rendered.
     ///
     /// The diff runs under the publish lock (so it is against exactly the
-    /// epoch being replaced); readers are never blocked — they keep being
-    /// served the previous epoch until each shard's pointer swap.
+    /// epoch being replaced, and per-shard generations stay monotone);
+    /// readers are never blocked — they keep being served the previous
+    /// epoch until each shard's pointer swap, which write-locks the shard
+    /// just long enough to replace one `Arc` pointer.
     ///
     /// The content key of a document is its memoized
     /// [`content_hash`](navsep_xml::Document::content_hash), so publishing
@@ -573,8 +499,10 @@ impl ShardedSiteStore {
         if consult_faults {
             self.consult_publish_faults()?;
         }
-        // Retain before swapping, as in `publish`: a generation-N stamp a
-        // reader observes must already be servable through `get_at`.
+        // Retain the epoch BEFORE swapping the live shards: a reader that
+        // observes a generation-N stamp must already be able to `get_at`
+        // it (serving an epoch slightly before its swap completes is
+        // harmless — it is real published data).
         self.push_epoch(Epoch {
             generation,
             shards: epoch_shards.clone(),
@@ -584,6 +512,9 @@ impl ShardedSiteStore {
                 *self.shards[idx].write() = snapshot;
             }
         }
+        // The publish lock serializes publishers, so load+store is race-free;
+        // the counter advances only AFTER every shard serves the new epoch,
+        // keeping `generation()`'s contract (see its doc).
         self.generation.store(generation, Ordering::Release);
         Ok(IncrementalPublish {
             generation,
@@ -842,6 +773,31 @@ impl Handler for ShardedSiteHandler {
     }
 }
 
+/// Handlers the crate's unit tests serve sites through.
+#[cfg(test)]
+pub(crate) mod test_support {
+    use super::*;
+
+    /// Serves `site` from a one-shard store, as generation 1.
+    pub(crate) fn serve(site: &Site) -> ShardedSiteHandler {
+        ShardedSiteHandler::new(Arc::new(ShardedSiteStore::from_site(1, site)))
+    }
+
+    /// Serves a [`Site`] as-is with no [`GENERATION_HEADER`]: a server that
+    /// does not version its pages, for the `Freshness::Unknown` checks.
+    pub(crate) struct Unversioned(pub(crate) Site);
+
+    impl Handler for Unversioned {
+        fn handle(&self, request: &Request) -> Response {
+            let path = request.path().trim_start_matches('/');
+            match self.0.get(path) {
+                Some(res) => Response::ok(res.media_type().as_str(), res.to_bytes()),
+                None => Response::not_found(path),
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -866,8 +822,8 @@ mod tests {
         let store = ShardedSiteStore::new(4);
         assert_eq!(store.generation(), 0);
         assert!(store.get("a.xml").is_none());
-        assert_eq!(store.publish(&site("v1")), 1);
-        assert_eq!(store.publish(&site("v2")), 2);
+        assert_eq!(store.publish_incremental(&site("v1")).generation, 1);
+        assert_eq!(store.publish_incremental(&site("v2")).generation, 2);
         let read = store.get("a.xml").unwrap();
         assert_eq!(read.generation(), 2);
         assert!(String::from_utf8_lossy(&read.resource().to_bytes()).contains("v2"));
@@ -917,7 +873,7 @@ mod tests {
         let handler = ShardedSiteHandler::new(Arc::clone(&store));
         let r = handler.handle(&Request::get("a.xml"));
         assert_eq!(r.header_value(GENERATION_HEADER), Some("1"));
-        store.publish(&site("h2"));
+        store.publish_incremental(&site("h2"));
         let r = handler.handle(&Request::get("a.xml"));
         assert_eq!(r.header_value(GENERATION_HEADER), Some("2"));
         assert!(r.body_text().contains("h2"));
@@ -938,7 +894,7 @@ mod tests {
         let fresh = handler.handle(&Request::get("a.xml").header(IF_GENERATION_HEADER, "1"));
         assert_eq!(fresh.header_value(STALE_HEADER), Some("fresh"));
         // A reweave supersedes the recorded generation: stale.
-        store.publish(&site("v2"));
+        store.publish_incremental(&site("v2"));
         let stale = handler.handle(&Request::get("a.xml").header(IF_GENERATION_HEADER, "1"));
         assert_eq!(stale.header_value(STALE_HEADER), Some("stale"));
         assert_eq!(stale.header_value(GENERATION_HEADER), Some("2"));
@@ -960,7 +916,7 @@ mod tests {
     #[test]
     fn slashed_and_bare_paths_serve_identically() {
         let store = Arc::new(ShardedSiteStore::from_site(4, &site("norm")));
-        store.publish(&site("norm2"));
+        store.publish_incremental(&site("norm2"));
         let handler = ShardedSiteHandler::new(store);
         let shapes = [
             Request::get("a.xml"),
@@ -1097,7 +1053,7 @@ mod tests {
 
     #[test]
     fn failed_try_publish_leaves_old_epoch_fully_intact() {
-        use crate::fault::{sites, FaultRule};
+        use crate::fault::{sites, FaultKind, FaultRule};
 
         let store = ShardedSiteStore::from_site(4, &site("v1"));
         let before_body = store.get("a.xml").unwrap().body().to_vec();
@@ -1148,10 +1104,10 @@ mod tests {
     #[test]
     fn retention_evicts_oldest_and_pins_bias_eviction() {
         let store = ShardedSiteStore::with_retention(2, 3);
-        store.publish(&site("v1"));
+        store.publish_incremental(&site("v1"));
         let _pin = store.pin(1);
         for round in 2..=5u64 {
-            store.publish(&site(&format!("v{round}")));
+            store.publish_incremental(&site(&format!("v{round}")));
         }
         // Capacity 3: generation 1 survives because it is pinned; the
         // unpinned middle generations were evicted instead.
@@ -1162,7 +1118,7 @@ mod tests {
         assert!(store.get_at("a.xml", 1).is_some());
         assert!(store.get_at("a.xml", 2).is_none(), "evicted past horizon");
         drop(_pin);
-        store.publish(&site("v6"));
+        store.publish_incremental(&site("v6"));
         // Unpinned now: generation 1 is the eviction victim.
         assert!(!store.retained_generations().contains(&1));
         assert!(store.get_at("a.xml", 1).is_none());
@@ -1171,8 +1127,8 @@ mod tests {
     #[test]
     fn handler_serves_at_generation_and_degrades_explicitly() {
         let store = Arc::new(ShardedSiteStore::with_retention(4, 2));
-        store.publish(&site("v1"));
-        store.publish(&site("v2"));
+        store.publish_incremental(&site("v1"));
+        store.publish_incremental(&site("v2"));
         let handler = ShardedSiteHandler::new(Arc::clone(&store));
         // A retained generation is served as-was, no degradation header.
         let old = handler.handle(&Request::get("a.xml").header(AT_GENERATION_HEADER, "1"));
@@ -1181,7 +1137,7 @@ mod tests {
         assert!(old.body_text().contains("v1"));
         // Push generation 1 past the horizon: the same request degrades to
         // latest, explicitly.
-        store.publish(&site("v3"));
+        store.publish_incremental(&site("v3"));
         let degraded = handler.handle(&Request::get("a.xml").header(AT_GENERATION_HEADER, "1"));
         assert_eq!(degraded.header_value(DEGRADED_HEADER), Some("latest"));
         assert_eq!(degraded.header_value(GENERATION_HEADER), Some("3"));
@@ -1204,7 +1160,7 @@ mod tests {
         assert_eq!(store.len(), 0);
         assert!(store.is_empty());
         assert!(store.paths().is_empty());
-        store.publish(&site("v1"));
+        store.publish_incremental(&site("v1"));
         assert_eq!(store.len(), 3);
         assert_eq!(store.paths(), ["a.xml", "b.xml", "style.css"]);
     }

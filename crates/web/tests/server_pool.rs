@@ -1,5 +1,6 @@
 //! ServerPool robustness contract: graceful shutdown, overload shedding,
-//! queue deadlines, panic respawn, and blocking backpressure.
+//! queue deadlines, and panic respawn, through the pool's two entry points
+//! (`submit` with a callback, `request_sync`).
 //!
 //! Every test here must terminate on its own — a hang is itself the
 //! failure being guarded against (the shutdown path joins real threads and
@@ -9,6 +10,7 @@ use navsep_web::{
     Handler, PoolConfig, Request, Response, ServerPool, RETRY_AFTER_HEADER, SHED_HEADER,
 };
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, Receiver};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -41,6 +43,16 @@ impl Handler for SlowHandler {
     }
 }
 
+/// Submits `request` without waiting; its one answer arrives on the
+/// returned channel.
+fn submit(pool: &ServerPool, request: Request) -> Receiver<Response> {
+    let (tx, rx) = mpsc::channel();
+    pool.submit(request, move |response| {
+        let _ = tx.send(response);
+    });
+    rx
+}
+
 /// Silences the on-purpose `/boom` panics while leaving real ones loud.
 fn quiet_test_panics() {
     use std::sync::Once;
@@ -65,7 +77,7 @@ fn quiet_test_panics() {
 fn shutdown_completes_the_in_flight_request() {
     let handler = Arc::new(SlowHandler::new(Duration::from_millis(80)));
     let pool = ServerPool::start(Arc::clone(&handler), 1);
-    let reply = pool.request_blocking(Request::get("/a"));
+    let reply = submit(&pool, Request::get("/a"));
     // Let the single worker pick the job up before we start draining.
     std::thread::sleep(Duration::from_millis(20));
     pool.shutdown();
@@ -78,10 +90,10 @@ fn shutdown_completes_the_in_flight_request() {
 fn shutdown_sheds_queued_but_unstarted_requests() {
     let handler = Arc::new(SlowHandler::new(Duration::from_millis(80)));
     let pool = ServerPool::start_with(Arc::clone(&handler), PoolConfig::new(1).queue_capacity(16));
-    let in_flight = pool.request_blocking(Request::get("/first"));
+    let in_flight = submit(&pool, Request::get("/first"));
     std::thread::sleep(Duration::from_millis(20));
     let queued: Vec<_> = (0..4)
-        .map(|i| pool.request_blocking(Request::get(format!("/queued{i}"))))
+        .map(|i| submit(&pool, Request::get(format!("/queued{i}"))))
         .collect();
     pool.shutdown();
     assert!(in_flight.recv().unwrap().status().is_success());
@@ -105,7 +117,7 @@ fn shutdown_never_hangs_even_with_a_deep_queue() {
     let handler = Arc::new(SlowHandler::new(Duration::from_millis(50)));
     let pool = ServerPool::start_with(handler, PoolConfig::new(2).queue_capacity(64));
     let replies: Vec<_> = (0..32)
-        .map(|i| pool.request_blocking(Request::get(format!("/q{i}"))))
+        .map(|i| submit(&pool, Request::get(format!("/q{i}"))))
         .collect();
     let start = Instant::now();
     pool.shutdown();
@@ -138,7 +150,7 @@ fn overload_sheds_with_queue_full_and_retry_after() {
     // Fire a burst without waiting on any reply: one request goes
     // in-flight, one fits the 1-deep queue, the rest must shed instantly.
     let replies: Vec<_> = (0..8)
-        .map(|i| pool.request(Request::get(format!("/r{i}"))))
+        .map(|i| submit(&pool, Request::get(format!("/r{i}"))))
         .collect();
     let responses: Vec<_> = replies
         .into_iter()
@@ -168,11 +180,11 @@ fn queue_deadline_expires_stale_requests_with_503() {
             .queue_capacity(8)
             .deadline(Duration::from_millis(20)),
     );
-    let first = pool.request_blocking(Request::get("/fresh"));
+    let first = submit(&pool, Request::get("/fresh"));
     std::thread::sleep(Duration::from_millis(10));
     // These wait >60ms behind /fresh — past their 20ms deadline.
     let stale: Vec<_> = (0..3)
-        .map(|i| pool.request_blocking(Request::get(format!("/stale{i}"))))
+        .map(|i| submit(&pool, Request::get(format!("/stale{i}"))))
         .collect();
     assert!(first.recv().unwrap().status().is_success());
     for reply in stale {
@@ -223,20 +235,5 @@ fn pool_survives_a_burst_of_panics() {
     let response = pool.request_sync(Request::get("/after"));
     assert!(response.status().is_success(), "pool outlived 6 panics");
     assert!(pool.workers_spawned() >= 8, "2 initial + 6 replacements");
-    pool.shutdown();
-}
-
-#[test]
-fn request_blocking_backpressures_instead_of_shedding() {
-    let handler = Arc::new(SlowHandler::new(Duration::from_millis(10)));
-    let pool = ServerPool::start_with(Arc::clone(&handler), PoolConfig::new(1).queue_capacity(1));
-    let replies: Vec<_> = (0..6)
-        .map(|i| pool.request_blocking(Request::get(format!("/b{i}"))))
-        .collect();
-    for reply in replies {
-        assert!(reply.recv().unwrap().status().is_success());
-    }
-    assert_eq!(pool.requests_shed(), 0, "blocking path never sheds");
-    assert_eq!(handler.completed.load(Ordering::SeqCst), 6);
     pool.shutdown();
 }

@@ -38,7 +38,7 @@ fn fixture() -> (Arc<ShardedSiteHandler>, HttpListener) {
             .unwrap(),
         );
         site.put_css("style.css", "p { margin: 0 }");
-        store.publish(&site);
+        store.publish_incremental(&site);
     }
     let handler = Arc::new(ShardedSiteHandler::new(store));
     let listener = HttpListener::bind("127.0.0.1:0", Arc::clone(&handler), ListenerConfig::new(2))
