@@ -43,7 +43,6 @@
 
 pub mod advice;
 pub mod aspect;
-pub mod cache;
 pub mod compiled;
 pub mod error;
 pub mod joinpoint;
@@ -53,7 +52,6 @@ pub mod xmlspec;
 
 pub use advice::{Advice, AdviceContent, AdvicePosition, ContentFn, Realized};
 pub use aspect::{AdviceRule, Aspect};
-pub use cache::{spec_hash, AspectCache, SpecCache};
 pub use compiled::{CandidatePlan, Candidates, CompiledPointcut, CompiledWeaver};
 pub use error::{ParsePointcutError, WeaveError};
 pub use joinpoint::{join_points, JoinPoint};

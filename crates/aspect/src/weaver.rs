@@ -15,7 +15,6 @@ use crate::aspect::Aspect;
 use crate::error::WeaveError;
 use crate::joinpoint::{join_points, JoinPoint};
 use navsep_xml::{Document, NodeId};
-use std::collections::BTreeMap;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -354,32 +353,6 @@ fn is_attached(doc: &Document, mut node: NodeId) -> bool {
     true
 }
 
-impl Weaver {
-    /// Weaves every page of a site map, returning the woven site and the
-    /// per-page reports.
-    ///
-    /// The aspects are compiled once and the compiled weaver is reused for
-    /// every page, so rule analysis is not repeated per page.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first page that fails to weave.
-    pub fn weave_site(
-        &self,
-        pages: &BTreeMap<String, Document>,
-    ) -> Result<(BTreeMap<String, Document>, Vec<WeaveReport>), WeaveError> {
-        let compiled = self.compile();
-        let mut out = BTreeMap::new();
-        let mut reports = Vec::new();
-        for (path, doc) in pages {
-            let (woven, report) = compiled.weave_page(path, doc)?;
-            out.insert(path.clone(), woven);
-            reports.push(report);
-        }
-        Ok((out, reports))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -604,24 +577,6 @@ mod tests {
             w.weave_page("e.html", &doc),
             Err(WeaveError::EmptyPage(_))
         ));
-    }
-
-    #[test]
-    fn weave_site_processes_all_pages() {
-        let mut site = BTreeMap::new();
-        site.insert("a.html".to_string(), page());
-        site.insert("b.html".to_string(), page());
-        let w = Weaver::new().aspect(Aspect::new("n").text_rule(
-            Pointcut::parse(r#"element("h1")"#).unwrap(),
-            AdvicePosition::Append,
-            "!",
-        ));
-        let (woven, reports) = w.weave_site(&site).unwrap();
-        assert_eq!(woven.len(), 2);
-        assert_eq!(reports.len(), 2);
-        for doc in woven.values() {
-            assert!(compact(doc).contains("<h1>Guitar!</h1>"));
-        }
     }
 
     #[test]

@@ -63,8 +63,8 @@ pub use fault::{FaultError, FaultKind, FaultPlan, FaultRule};
 pub use impact::{diff_lines, myers_distance, DiffStats, FileImpact, FileStatus, ImpactReport};
 pub use lint::{lint_sources, SourceLintFinding, SourceLintReport};
 pub use pipeline::{
-    navigation_aspect, navigation_aspect_shared, navigation_map, weave_separated, PageNav, Weave,
-    WeaveCache, WovenOutput,
+    navigation_aspect_shared, navigation_map, weave_separated, PageNav, Weave, WeaveCache,
+    WovenOutput,
 };
 pub use publish::{PublishOutcome, RetryPolicy, SitePublisher, SourceEdit};
 pub use separated::{data_document, separated_sources, separated_sources_with, MUSEUM_TRANSFORM};

@@ -20,16 +20,17 @@ use crate::fault::{self, FaultPlan};
 use crate::fragments::{index_list, nav_block, IndexItem, NavAnchor};
 use crate::layout::{data_to_page, ASPECTS_PATH, LINKBASE_PATH, TRANSFORM_PATH};
 use navsep_aspect::{
-    AdvicePosition, Aspect, AspectCache, CompiledWeaver, Pointcut, SpecCache, WeaveReport, Weaver,
+    parse_aspects, AdvicePosition, Aspect, CompiledWeaver, Pointcut, WeaveReport, Weaver,
 };
 use navsep_hypermodel::NavLinkKind;
 use navsep_style::Transform;
 use navsep_web::{Resource, Site};
 use navsep_xlink::{Endpoint, Linkbase, Resolver};
-use navsep_xml::{fnv1a64, ElementBuilder};
+use navsep_xml::{Document, ElementBuilder};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Renders a `catch_unwind` payload for [`CoreError::WorkerPanic`].
 pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -161,17 +162,12 @@ fn endpoint_page(ep: &Endpoint) -> Result<String, CoreError> {
     }
 }
 
-/// Builds the navigation aspect from a per-page navigation map.
+/// Builds the navigation aspect from a shared per-page navigation map.
 ///
 /// One aspect, one rule: at every page `<body>`, append that page's
-/// navigation fragments. This *is* the paper's navigational aspect.
-pub fn navigation_aspect(map: BTreeMap<String, PageNav>) -> Aspect {
-    navigation_aspect_shared(Arc::new(map))
-}
-
-/// Like [`navigation_aspect`], but over a shared (e.g. cached) map, so a
-/// reweave does not re-expand the linkbase. The advice depends only on
-/// which page is being woven, never on the page's contents.
+/// navigation fragments. This *is* the paper's navigational aspect. The
+/// map is shared so a reweave does not re-expand the linkbase; the advice
+/// depends only on which page is being woven, never on its contents.
 pub fn navigation_aspect_shared(map: Arc<BTreeMap<String, PageNav>>) -> Aspect {
     Aspect::new("navigation").generated_rule(
         Pointcut::Element("body".to_string()),
@@ -180,17 +176,44 @@ pub fn navigation_aspect_shared(map: Arc<BTreeMap<String, PageNav>>) -> Aspect {
     )
 }
 
-/// Caches the compiled form of every spec the pipeline consumes, keyed by
-/// spec content hash, so repeated weaves of unchanged specs skip parsing
-/// and compilation entirely:
+/// The last value compiled for one spec kind, under the key it was
+/// compiled from.
+#[derive(Debug)]
+struct Slot<K, T>(Mutex<Option<(K, Arc<T>)>>);
+
+impl<K, T> Default for Slot<K, T> {
+    fn default() -> Self {
+        Slot(Mutex::new(None))
+    }
+}
+
+impl<K, T> Slot<K, T> {
+    fn lock(&self) -> MutexGuard<'_, Option<(K, Arc<T>)>> {
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+/// A parsed `links.xml` and the per-page navigation map expanded from it.
+type CompiledLinks = (Linkbase, Arc<BTreeMap<String, PageNav>>);
+
+/// Caches the compiled form of the specs the pipeline consumes: one slot
+/// per spec kind, each holding the last value compiled under its content
+/// hash, so a reweave of unchanged specs skips parsing and compilation
+/// entirely:
 ///
 /// * `transform.xml` → a compiled [`Transform`];
-/// * `links.xml` → the parsed [`Linkbase`] *and* the expanded per-page
+/// * `links.xml` → the parsed [`Linkbase`] *and* its expanded per-page
 ///   navigation map;
-/// * `aspects.xml` → parsed [`Aspect`]s (via [`AspectCache`]);
-/// * the (linkbase, aspects) pair → the fully [`CompiledWeaver`], with
-///   every rule pointcut pre-analyzed into its index candidate plan, so a
-///   steady-state reweave goes straight to candidate resolution.
+/// * the (`links.xml`, `aspects.xml`) pair → the fully [`CompiledWeaver`]
+///   (the navigation aspect plus the parsed site aspects), with every rule
+///   pointcut pre-analyzed into its index candidate plan.
+///
+/// A lookup whose key differs from the slot's empties the slot before it
+/// compiles (a `links.xml` miss empties the weaver slot too, since the
+/// compiled weaver shares the navigation map), so at most one compiled
+/// value per kind is ever held: editing one spec recompiles only what
+/// depends on it, and the superseded value is dropped before its successor
+/// is built. Compile errors leave the slot empty; the next weave retries.
 ///
 /// Locator resolution against the data set is deliberately **not** cached:
 /// it depends on the data documents, which may change between weaves even
@@ -215,16 +238,17 @@ pub fn navigation_aspect_shared(map: Arc<BTreeMap<String, PageNav>>) -> Aspect {
 /// let first = cached.run(&sources)?; // compiles specs
 /// let again = cached.run(&sources)?; // pure cache hits
 /// assert_eq!(first.site.len(), again.site.len());
-/// assert!(cache.hits() >= 3); // transform + linkbase + navigation map
+/// // One compile and one hit per slot: transform, links, weaver.
+/// assert_eq!((cache.misses(), cache.hits()), (3, 3));
 /// # Ok::<(), navsep_core::CoreError>(())
 /// ```
 #[derive(Debug, Default)]
 pub struct WeaveCache {
-    transforms: SpecCache<Transform>,
-    linkbases: SpecCache<Linkbase>,
-    navigation: SpecCache<BTreeMap<String, PageNav>>,
-    aspects: AspectCache,
-    weavers: SpecCache<CompiledWeaver>,
+    transform: Slot<u64, Transform>,
+    links: Slot<u64, CompiledLinks>,
+    weaver: Slot<(u64, Option<u64>), CompiledWeaver>,
+    hits: AtomicU64,
+    misses: AtomicU64,
 }
 
 impl WeaveCache {
@@ -235,52 +259,44 @@ impl WeaveCache {
 
     /// Total lookups that found a compiled spec.
     pub fn hits(&self) -> u64 {
-        self.transforms.hits()
-            + self.linkbases.hits()
-            + self.navigation.hits()
-            + self.aspects.hits()
-            + self.weavers.hits()
+        self.hits.load(Ordering::Relaxed)
     }
 
     /// Total lookups that had to compile.
     pub fn misses(&self) -> u64 {
-        self.transforms.misses()
-            + self.linkbases.misses()
-            + self.navigation.misses()
-            + self.aspects.misses()
-            + self.weavers.misses()
+        self.misses.load(Ordering::Relaxed)
     }
 
-    /// Total compiled specs currently held, across all kinds. The cache
-    /// never evicts on its own, so long-lived spec churners should watch
-    /// this (or [`clear`](Self::clear) when a spec changes, as
-    /// [`crate::publish::SitePublisher`] does).
+    /// Compiled specs currently held: at most one per slot, so never more
+    /// than 3.
     pub fn entries(&self) -> usize {
-        self.transforms.len()
-            + self.linkbases.len()
-            + self.navigation.len()
-            + self.aspects.len()
-            + self.weavers.len()
+        usize::from(self.transform.lock().is_some())
+            + usize::from(self.links.lock().is_some())
+            + usize::from(self.weaver.lock().is_some())
     }
 
-    /// Drops all cached compilations (counters are kept).
-    pub fn clear(&self) {
-        self.transforms.clear();
-        self.linkbases.clear();
-        self.navigation.clear();
-        self.aspects.clear();
-        self.weavers.clear();
+    /// Returns `slot`'s value if it was compiled under `key`; otherwise
+    /// empties the slot, runs `compile`, and keeps its output. The slot
+    /// stays locked while compiling, so racing weaves compile once.
+    fn get_or_compile<K: PartialEq, T>(
+        &self,
+        slot: &Slot<K, T>,
+        key: K,
+        compile: impl FnOnce() -> Result<T, CoreError>,
+    ) -> Result<Arc<T>, CoreError> {
+        let mut last = slot.lock();
+        if let Some((held, value)) = &*last {
+            if *held == key {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                return Ok(Arc::clone(value));
+            }
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        *last = None;
+        let value = Arc::new(compile()?);
+        *last = Some((key, Arc::clone(&value)));
+        Ok(value)
     }
-}
-
-/// The weaver every weave starts from: the navigation aspect plus the
-/// site-defined aspects, in that registration order.
-fn base_weaver(nav_map: &Arc<BTreeMap<String, PageNav>>, site_aspects: &[Aspect]) -> Weaver {
-    let mut weaver = Weaver::new().aspect(navigation_aspect_shared(Arc::clone(nav_map)));
-    for a in site_aspects {
-        weaver.add_aspect(a.clone());
-    }
-    weaver
 }
 
 /// Compiles (or fetches from `cache`) every spec in `sources`, validates
@@ -302,56 +318,56 @@ fn compile_specs(
         .ok_or_else(|| CoreError::Pipeline(format!("missing {LINKBASE_PATH}")))?;
 
     // `content_hash` is memoized on the documents themselves, so a
-    // steady-state reweave looks both keys up without serializing (let
-    // alone re-hashing) either spec.
-    let transform = cache
-        .transforms
-        .get_or_try_insert(transform_doc.content_hash(), || {
-            Transform::from_document(transform_doc).map_err(CoreError::Template)
-        })?;
-    let links_key = links_doc.content_hash();
-    let linkbase = cache.linkbases.get_or_try_insert(links_key, || {
-        Linkbase::from_document(links_doc, LINKBASE_PATH).map_err(CoreError::XLink)
+    // steady-state reweave looks every key up without serializing (let
+    // alone re-hashing) any spec.
+    let transform = cache.get_or_compile(&cache.transform, transform_doc.content_hash(), || {
+        Transform::from_document(transform_doc).map_err(CoreError::Template)
     })?;
-    let nav_map = cache
-        .navigation
-        .get_or_try_insert(links_key, || navigation_map(&linkbase))?;
+    let links_key = links_doc.content_hash();
+    let links = cache.get_or_compile(&cache.links, links_key, || {
+        // The compiled weaver shares the superseded navigation map; it
+        // misses next anyway, so drop it now and the old map with it.
+        *cache.weaver.lock() = None;
+        let linkbase = Linkbase::from_document(links_doc, LINKBASE_PATH)?;
+        let nav_map = navigation_map(&linkbase)?;
+        Ok((linkbase, Arc::new(nav_map)))
+    })?;
+    let (linkbase, nav_map) = &*links;
 
     // Validate every locator resolves against the *current* data set before
     // weaving — never cached; the data may have changed under a cached
     // linkbase.
-    Resolver::new(sources, LINKBASE_PATH).resolve(&linkbase)?;
+    Resolver::new(sources, LINKBASE_PATH).resolve(linkbase)?;
 
     // Site-defined aspects (paper §7 future work): aspects.xml, if present,
-    // contributes further concerns to the weave.
+    // contributes further concerns to the weave, after the navigation
+    // aspect.
     let aspects_doc = sources.get(ASPECTS_PATH).and_then(Resource::document);
-    let site_aspects = match aspects_doc {
-        Some(doc) => cache
-            .aspects
-            .get_or_parse(doc)
-            .map_err(|e| CoreError::Pipeline(format!("bad {ASPECTS_PATH}: {e}")))?,
-        None => Arc::new(Vec::new()),
+    let base_weaver = || {
+        let mut weaver = Weaver::new().aspect(navigation_aspect_shared(Arc::clone(nav_map)));
+        if let Some(doc) = aspects_doc {
+            let site_aspects = parse_aspects(doc)
+                .map_err(|e| CoreError::Pipeline(format!("bad {ASPECTS_PATH}: {e}")))?;
+            for a in site_aspects {
+                weaver.add_aspect(a);
+            }
+        }
+        Ok::<_, CoreError>(weaver)
     };
 
     // Extra aspects change the weave, so they force a fresh compile.
     if !extra_aspects.is_empty() {
-        let mut weaver = base_weaver(&nav_map, &site_aspects);
+        let mut weaver = base_weaver()?;
         for a in extra_aspects {
             weaver.add_aspect(a.clone());
         }
         return Ok((transform, Arc::new(weaver.compile())));
     }
     // The compiled weaver is a function of the linkbase (navigation aspect)
-    // and aspects.xml, so its cache key is derived from both content hashes
-    // (with a marker distinguishing "no aspects.xml" from any hash value).
-    let aspects_key = aspects_doc.map(navsep_xml::Document::content_hash);
-    let mut key_bytes = Vec::with_capacity(17);
-    key_bytes.extend_from_slice(&links_key.to_le_bytes());
-    key_bytes.extend_from_slice(&aspects_key.unwrap_or(0).to_le_bytes());
-    key_bytes.push(u8::from(aspects_key.is_some()));
-    let weaver = cache.weavers.get_or_try_insert(fnv1a64(&key_bytes), || {
-        Ok::<_, CoreError>(base_weaver(&nav_map, &site_aspects).compile())
-    })?;
+    // and aspects.xml, so it is keyed by both content hashes.
+    let weaver_key = (links_key, aspects_doc.map(Document::content_hash));
+    let weaver =
+        cache.get_or_compile(&cache.weaver, weaver_key, || Ok(base_weaver()?.compile()))?;
     Ok((transform, weaver))
 }
 
@@ -390,7 +406,7 @@ pub fn weave_separated(sources: &Site) -> Result<WovenOutput, CoreError> {
 /// let first = weave.run(&sources)?; // compiles specs
 /// let again = weave.run(&sources)?; // pure cache hits
 /// assert_eq!(first.site.len(), again.site.len());
-/// assert!(cache.hits() >= 3); // transform + linkbase + navigation map
+/// assert_eq!(cache.hits(), 3); // transform + links + weaver
 /// # Ok::<(), navsep_core::CoreError>(())
 /// ```
 #[derive(Debug)]
@@ -714,10 +730,10 @@ mod tests {
         let again = cached.run(&sources).unwrap();
         crate::equiv::assert_site_equivalent(&uncached.site, &first.site).unwrap();
         crate::equiv::assert_site_equivalent(&uncached.site, &again.site).unwrap();
-        // First cached run compiles (transform + linkbase + nav map +
-        // compiled weaver), the second is pure hits.
-        assert_eq!(cache.misses(), 4);
-        assert_eq!(cache.hits(), 4);
+        // First cached run compiles (transform + links + compiled weaver),
+        // the second is pure hits.
+        assert_eq!(cache.misses(), 3);
+        assert_eq!(cache.hits(), 3);
     }
 
     #[test]
@@ -740,14 +756,58 @@ mod tests {
         let a = cached.run(&index).unwrap();
         let b = cached.run(&igt).unwrap();
         // Same transform (1 hit on the second weave); different linkbase
-        // (fresh linkbase + nav-map + weaver compilations, no poisoned
-        // reuse).
+        // (fresh links + weaver compilations, no poisoned reuse).
         assert!(!crate::equiv::dom_equivalent(
             a.site.get("guitar.html").unwrap().document().unwrap(),
             b.site.get("guitar.html").unwrap().document().unwrap(),
         ));
-        assert_eq!(cache.misses(), 7);
+        assert_eq!(cache.misses(), 5);
         assert_eq!(cache.hits(), 1);
+    }
+
+    #[test]
+    fn a_spec_edit_recompiles_only_what_depends_on_it() {
+        let store = paper_museum();
+        let nav = museum_navigation();
+        let index =
+            separated_sources(&store, &nav, &paper_spec(AccessStructureKind::Index)).unwrap();
+        let igt = separated_sources(
+            &store,
+            &nav,
+            &paper_spec(AccessStructureKind::IndexedGuidedTour),
+        )
+        .unwrap();
+        let cache = WeaveCache::new();
+        let cached = Weave {
+            cache: Some(&cache),
+            ..Weave::default()
+        };
+        let counts = || (cache.misses(), cache.hits());
+        cached.run(&index).unwrap();
+        assert_eq!(counts(), (3, 0));
+        assert_eq!(cache.entries(), 3);
+
+        // transform.xml only: one recompile; links and weaver slots hit.
+        let mut restyled = index.clone();
+        let mut transform = restyled
+            .get(TRANSFORM_PATH)
+            .unwrap()
+            .document()
+            .unwrap()
+            .clone();
+        let root = transform.root_element().unwrap();
+        transform.set_attribute(root, "version", "2");
+        restyled.put_document(TRANSFORM_PATH, transform);
+        cached.run(&restyled).unwrap();
+        assert_eq!(counts(), (4, 2));
+        assert!(cache.entries() <= 3);
+
+        // links.xml only: links and weaver recompile; transform hits.
+        let mut relinked = restyled.clone();
+        relinked.put_resource(LINKBASE_PATH, igt.get(LINKBASE_PATH).unwrap().clone());
+        cached.run(&relinked).unwrap();
+        assert_eq!(counts(), (6, 3));
+        assert!(cache.entries() <= 3);
     }
 
     #[test]

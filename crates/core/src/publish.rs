@@ -15,10 +15,14 @@
 //! raw resources: the K edited pages are re-transformed and re-woven (a
 //! [`Weave`] over just those `pages`), every other page of the retained
 //! woven site is reused as-is (its memoized
-//! [`navsep_xml::Document::content_hash`] included), and [`ShardedSiteStore::publish_incremental`] then reuses
-//! the unchanged `Arc` entries and skips untouched shards. A batch that
-//! edits a *spec* (linkbase, transform, `aspects.xml`) falls back to the
-//! full weave, since any page may be affected.
+//! [`navsep_xml::Document::content_hash`] included), and
+//! [`ShardedSiteStore::publish_incremental`] then reuses the unchanged
+//! `Arc` entries and skips untouched shards. A batch that edits a *spec*
+//! (linkbase, transform, `aspects.xml`) falls back to the full weave, since
+//! any page may be affected. That weave recompiles only the spec that
+//! changed (plus the compiled weaver, when the linkbase or `aspects.xml`
+//! did): the [`WeaveCache`] holds one compiled value per spec kind and
+//! replaces it itself, so the publisher never clears it.
 //!
 //! A K-page commit costs O(K), not O(site), because no document is ever
 //! copied: a [`Site`] holds each parsed document behind an `Arc` and never
@@ -304,25 +308,10 @@ impl SitePublisher {
         self
     }
 
-    /// Sets or clears the armed [`FaultPlan`] in place.
-    pub fn set_faults(&mut self, plan: Option<Arc<FaultPlan>>) {
-        self.faults = plan;
-    }
-
     /// Replaces the [`RetryPolicy`] (builder style).
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
-    }
-
-    /// Replaces the [`RetryPolicy`] in place.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
-    /// The policy applied to transient commit failures.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
     }
 
     /// Stages an edit for the next commit (builder style, chainable).
@@ -405,7 +394,8 @@ impl SitePublisher {
             .collect()
     }
 
-    /// `true` when `edit` touches a spec the [`WeaveCache`] compiles.
+    /// `true` when `edit` touches a spec: any page may change, so the
+    /// commit weaves the whole site.
     fn edits_spec(edit: &SourceEdit) -> bool {
         use crate::layout::{ASPECTS_PATH, LINKBASE_PATH, TRANSFORM_PATH};
         let path = Self::edit_path(edit);
@@ -491,14 +481,7 @@ impl SitePublisher {
                 return Err(CoreError::SourceLint(report));
             }
         }
-        // A spec edit supersedes its cached compilation; drop the whole
-        // cache before the weave so a long-lived publisher holds only the
-        // live spec set, not every historical version. (On weave failure
-        // the cache re-primes on the next commit — a correctness no-op.)
         let spec_changed = self.staged.iter().any(Self::edits_spec);
-        if spec_changed {
-            self.cache.clear();
-        }
         // The weave + store publish run inside the retry loop, with a
         // `catch_unwind` so a panic becomes a [`CoreError::WorkerPanic`]
         // instead of tearing down the caller (retried only when an armed
@@ -891,6 +874,29 @@ mod tests {
         // CSS edits touch no spec: the reweave compiles nothing new.
         assert_eq!(p.cache().misses(), misses_after_first);
         assert!(p.cache().hits() >= 3);
+    }
+
+    #[test]
+    fn transform_edit_recompiles_only_the_transform() {
+        use crate::layout::TRANSFORM_PATH;
+
+        let (mut p, _store) = publisher(AccessStructureKind::Index);
+        p.commit().unwrap();
+        let misses = p.cache().misses();
+        let mut transform = p
+            .sources()
+            .get(TRANSFORM_PATH)
+            .unwrap()
+            .document()
+            .unwrap()
+            .clone();
+        let root = transform.root_element().unwrap();
+        transform.set_attribute(root, "version", "2");
+        p.stage(SourceEdit::put_document(TRANSFORM_PATH, transform));
+        let outcome = p.commit().unwrap();
+        assert_eq!(outcome.pages_reused, 0, "a spec edit weaves every page");
+        // The linkbase and the compiled weaver are reused as they are.
+        assert_eq!(p.cache().misses(), misses + 1);
     }
 
     #[test]

@@ -98,11 +98,11 @@ impl ParsedBatch {
 }
 
 impl Conn {
-    pub(crate) fn new(stream: TcpStream, id: u64, limits: WireLimits, now: Instant) -> Conn {
+    pub(crate) fn new(stream: TcpStream, id: u64, now: Instant) -> Conn {
         Conn {
             stream,
             id,
-            parser: RequestParser::new(limits),
+            parser: RequestParser::new(WireLimits::default()),
             slots: VecDeque::new(),
             next_seq: 0,
             front_written: 0,

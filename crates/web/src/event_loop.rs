@@ -320,7 +320,7 @@ impl EventLoop {
             }
         };
         let now = Instant::now();
-        let mut conn = Conn::new(stream, id, self.shared.limits, now);
+        let mut conn = Conn::new(stream, id, now);
         conn.idle_deadline = now + self.shared.keep_alive_timeout;
         if self
             .mailbox

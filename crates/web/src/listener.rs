@@ -40,7 +40,6 @@
 
 use crate::event_loop::{EventLoop, Mailbox};
 use crate::server::{Handler, PoolConfig, ServerPool};
-use crate::wire::WireLimits;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -53,8 +52,6 @@ use std::time::Duration;
 pub struct ListenerConfig {
     /// Configuration for the owned [`ServerPool`].
     pub pool: PoolConfig,
-    /// Parser bounds applied to every connection.
-    pub limits: WireLimits,
     /// Event-loop threads multiplexing the connections.
     pub loops: usize,
     /// Hard cap on open connections; arrivals past it are shed at accept
@@ -75,7 +72,6 @@ impl ListenerConfig {
     pub fn new(workers: usize) -> Self {
         ListenerConfig {
             pool: PoolConfig::new(workers),
-            limits: WireLimits::default(),
             loops: 2,
             max_connections: 10_240,
             keep_alive_timeout: Duration::from_secs(5),
@@ -130,7 +126,6 @@ pub struct ListenerStats {
 pub(crate) struct ListenerShared {
     pub(crate) pool: ServerPool,
     pub(crate) stop: AtomicBool,
-    pub(crate) limits: WireLimits,
     pub(crate) keep_alive_timeout: Duration,
     pub(crate) max_pipeline: usize,
     pub(crate) max_connections: usize,
@@ -175,7 +170,6 @@ impl HttpListener {
         let shared = Arc::new(ListenerShared {
             pool: ServerPool::start_with(handler, config.pool),
             stop: AtomicBool::new(false),
-            limits: config.limits,
             keep_alive_timeout: config.keep_alive_timeout,
             max_pipeline: config.max_pipeline.max(1),
             max_connections: config.max_connections.max(1),

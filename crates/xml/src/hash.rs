@@ -3,7 +3,7 @@
 //! Several layers above the XML substrate need a hash of document text
 //! that is deterministic across processes and platforms — unlike `std`'s
 //! `RandomState` — so that spec-cache keys, shard assignments, and any
-//! logs naming them are reproducible: `navsep-aspect` keys compiled specs
+//! logs naming them are reproducible: `navsep-core` keys compiled specs
 //! by it, `navsep-web` assigns page ids to store shards with it. One
 //! implementation lives here so the layers cannot drift apart.
 
@@ -35,9 +35,8 @@ impl crate::Document {
     /// value, and any mutation resets the memo. Cloning carries the memo
     /// along (a clone has identical content).
     ///
-    /// This is the key the spec caches above (`navsep-aspect`'s
-    /// `SpecCache`, `navsep-core`'s `WeaveCache`) look compiled artifacts
-    /// up by — memoizing it here makes their steady-state hit path O(1)
+    /// This is the key `navsep-core`'s `WeaveCache` looks compiled specs
+    /// up by — memoizing it here makes its steady-state hit path O(1)
     /// instead of a full re-serialization per weave.
     ///
     /// # Examples
