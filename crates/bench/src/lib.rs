@@ -148,11 +148,21 @@ pub fn traffic_json_path() -> PathBuf {
 /// section per line so different benches can merge their results without a
 /// JSON parser.
 ///
+/// Only a measuring run records: `cargo bench` passes `--bench` to the
+/// bench targets, while `cargo test --all-targets` runs the same targets
+/// without it. A test run prints the section and leaves the tracked file
+/// alone.
+///
 /// # Panics
 ///
 /// Panics if the file cannot be written.
 pub fn record_bench_section(section: &str, json_object: &str) {
-    record_bench_section_in(&bench_json_path(), section, json_object);
+    if std::env::args().any(|arg| arg == "--bench") {
+        record_bench_section_in(&bench_json_path(), section, json_object);
+    } else {
+        println!("{section}: {json_object}");
+        println!("(not a `cargo bench` run: BENCH_weave.json left unchanged)");
+    }
 }
 
 /// [`record_bench_section`] against an arbitrary merge-file path (e.g.

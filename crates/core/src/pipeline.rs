@@ -25,7 +25,7 @@ use navsep_aspect::{
 use navsep_hypermodel::NavLinkKind;
 use navsep_style::Transform;
 use navsep_web::{Resource, Site};
-use navsep_xlink::{Endpoint, Linkbase, Resolver};
+use navsep_xlink::{Endpoint, Linkbase, ResolutionMemo};
 use navsep_xml::{Document, ElementBuilder};
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -193,8 +193,13 @@ impl<K, T> Slot<K, T> {
     }
 }
 
-/// A parsed `links.xml` and the per-page navigation map expanded from it.
-type CompiledLinks = (Linkbase, Arc<BTreeMap<String, PageNav>>);
+/// A parsed `links.xml`, the per-page navigation map expanded from it, and
+/// what validating its locators against the data found last time.
+type CompiledLinks = (
+    Linkbase,
+    Arc<BTreeMap<String, PageNav>>,
+    Mutex<ResolutionMemo>,
+);
 
 /// Caches the compiled form of the specs the pipeline consumes: one slot
 /// per spec kind, each holding the last value compiled under its content
@@ -202,8 +207,8 @@ type CompiledLinks = (Linkbase, Arc<BTreeMap<String, PageNav>>);
 /// entirely:
 ///
 /// * `transform.xml` → a compiled [`Transform`];
-/// * `links.xml` → the parsed [`Linkbase`] *and* its expanded per-page
-///   navigation map;
+/// * `links.xml` → the parsed [`Linkbase`], its expanded per-page
+///   navigation map, and a [`ResolutionMemo`] of its locators;
 /// * the (`links.xml`, `aspects.xml`) pair → the fully [`CompiledWeaver`]
 ///   (the navigation aspect plus the parsed site aspects), with every rule
 ///   pointcut pre-analyzed into its index candidate plan.
@@ -215,9 +220,12 @@ type CompiledLinks = (Linkbase, Arc<BTreeMap<String, PageNav>>);
 /// depends on it, and the superseded value is dropped before its successor
 /// is built. Compile errors leave the slot empty; the next weave retries.
 ///
-/// Locator resolution against the data set is deliberately **not** cached:
-/// it depends on the data documents, which may change between weaves even
-/// when the linkbase does not.
+/// Locator validation runs on every weave, since the data documents may
+/// change under an unchanged linkbase, but through the links slot's
+/// [`ResolutionMemo`]: each href keeps its last outcome under the content
+/// hash of the document it looked up, so a weave resolves again only the
+/// hrefs whose target document changed. A `links.xml` miss drops the memo
+/// with the slot, and the new linkbase's hrefs are all resolved afresh.
 ///
 /// # Examples
 ///
@@ -235,11 +243,14 @@ type CompiledLinks = (Linkbase, Arc<BTreeMap<String, PageNav>>);
 /// )?;
 /// let cache = WeaveCache::new();
 /// let cached = Weave { cache: Some(&cache), ..Weave::default() };
-/// let first = cached.run(&sources)?; // compiles specs
+/// let first = cached.run(&sources)?; // compiles specs, resolves locators
+/// let resolved = cache.locators_resolved();
 /// let again = cached.run(&sources)?; // pure cache hits
 /// assert_eq!(first.site.len(), again.site.len());
 /// // One compile and one hit per slot: transform, links, weaver.
 /// assert_eq!((cache.misses(), cache.hits()), (3, 3));
+/// // No data document changed, so no locator was resolved again.
+/// assert_eq!(cache.locators_resolved(), resolved);
 /// # Ok::<(), navsep_core::CoreError>(())
 /// ```
 #[derive(Debug, Default)]
@@ -249,6 +260,7 @@ pub struct WeaveCache {
     weaver: Slot<(u64, Option<u64>), CompiledWeaver>,
     hits: AtomicU64,
     misses: AtomicU64,
+    resolved: AtomicU64,
 }
 
 impl WeaveCache {
@@ -265,6 +277,13 @@ impl WeaveCache {
     /// Total lookups that had to compile.
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
+    }
+
+    /// Total locator hrefs resolved against their target documents by
+    /// locator validation; an href whose target is unchanged since it was
+    /// last resolved costs a lookup and is not counted.
+    pub fn locators_resolved(&self) -> u64 {
+        self.resolved.load(Ordering::Relaxed)
     }
 
     /// Compiled specs currently held: at most one per slot, so never more
@@ -330,14 +349,21 @@ fn compile_specs(
         *cache.weaver.lock() = None;
         let linkbase = Linkbase::from_document(links_doc, LINKBASE_PATH)?;
         let nav_map = navigation_map(&linkbase)?;
-        Ok((linkbase, Arc::new(nav_map)))
+        let memo = Mutex::new(ResolutionMemo::new(&linkbase));
+        Ok((linkbase, Arc::new(nav_map), memo))
     })?;
-    let (linkbase, nav_map) = &*links;
+    let (_, nav_map, memo) = &*links;
 
-    // Validate every locator resolves against the *current* data set before
-    // weaving — never cached; the data may have changed under a cached
-    // linkbase.
-    Resolver::new(sources, LINKBASE_PATH).resolve(linkbase)?;
+    // Validate every locator against the *current* data set before weaving:
+    // the data may have changed under a cached linkbase. The memo resolves
+    // again only the hrefs whose target document's content changed. An
+    // entry is replaced only after its resolution returns, so a memo a
+    // panicking validation left poisoned is still sound.
+    let resolved = memo
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .validate(sources)?;
+    cache.resolved.fetch_add(resolved as u64, Ordering::Relaxed);
 
     // Site-defined aspects (paper §7 future work): aspects.xml, if present,
     // contributes further concerns to the weave, after the navigation

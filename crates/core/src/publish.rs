@@ -17,12 +17,16 @@
 //! woven site is reused as-is (its memoized
 //! [`navsep_xml::Document::content_hash`] included), and
 //! [`ShardedSiteStore::publish_incremental`] then reuses the unchanged
-//! `Arc` entries and skips untouched shards. A batch that edits a *spec*
-//! (linkbase, transform, `aspects.xml`) falls back to the full weave, since
-//! any page may be affected. That weave recompiles only the spec that
-//! changed (plus the compiled weaver, when the linkbase or `aspects.xml`
-//! did): the [`WeaveCache`] holds one compiled value per spec kind and
-//! replaces it itself, so the publisher never clears it.
+//! `Arc` entries and skips untouched shards. Locator validation still
+//! covers the whole data set, but through the [`WeaveCache`]'s resolution
+//! memo: each href is looked up and its target's content hash compared,
+//! and only the hrefs that target an edited document are resolved again.
+//! A batch that edits a *spec* (linkbase, transform, `aspects.xml`) falls
+//! back to the full weave, since any page may be affected. That weave
+//! recompiles only the spec that changed (plus the compiled weaver, when
+//! the linkbase or `aspects.xml` did): the [`WeaveCache`] holds one compiled
+//! value per spec kind and replaces it itself, so the publisher never
+//! clears it.
 //!
 //! A K-page commit costs O(K), not O(site), because no document is ever
 //! copied: a [`Site`] holds each parsed document behind an `Arc` and never

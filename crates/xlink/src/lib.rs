@@ -55,7 +55,9 @@ pub use link::{
     simple_link, ArcRule, Endpoint, ExtendedLink, Locator, Resource, SimpleLink, Traversal,
 };
 pub use linkbase::Linkbase;
-pub use resolve::{DocumentProvider, ResolvedEndpoint, ResolvedTraversal, Resolver};
+pub use resolve::{
+    DocumentProvider, ResolutionMemo, ResolvedEndpoint, ResolvedTraversal, Resolver,
+};
 
 #[cfg(test)]
 mod tests {
@@ -68,5 +70,6 @@ mod tests {
         assert_send_sync::<Traversal>();
         assert_send_sync::<Href>();
         assert_send_sync::<XLinkError>();
+        assert_send_sync::<ResolutionMemo>();
     }
 }

@@ -11,7 +11,7 @@ use crate::href::Href;
 use crate::link::{Endpoint, Traversal};
 use crate::linkbase::Linkbase;
 use navsep_xml::{Document, NodeId};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 
 /// Supplies documents by site path. Implemented by in-memory maps here and
@@ -83,30 +83,14 @@ impl<'p, P: DocumentProvider + ?Sized> Resolver<'p, P> {
                 href: None,
             }),
             Endpoint::Remote(href) => {
-                let doc_path = if href.is_same_document() {
-                    Arc::clone(&self.linkbase_path)
-                } else {
-                    Arc::clone(href.shared_document())
-                };
+                let doc_path = target_path(href, &self.linkbase_path);
                 let doc = self
                     .provider
                     .document(&doc_path)
                     .ok_or_else(|| XLinkError::UnknownDocument(doc_path.to_string()))?;
-                let node = match href.fragment() {
-                    Some(frag) => navsep_xpointer::resolve_first(doc, frag).map_err(|e| {
-                        XLinkError::PointerFailed {
-                            href: href.to_string(),
-                            reason: e.to_string(),
-                        }
-                    })?,
-                    None => doc.require_root().map_err(|e| XLinkError::PointerFailed {
-                        href: href.to_string(),
-                        reason: e.to_string(),
-                    })?,
-                };
                 Ok(ResolvedEndpoint {
+                    node: select(doc, href)?,
                     document: doc_path,
-                    node,
                     href: Some(href.clone()),
                 })
             }
@@ -122,9 +106,7 @@ impl<'p, P: DocumentProvider + ?Sized> Resolver<'p, P> {
     ///
     /// # Errors
     ///
-    /// Fails fast on the first unresolvable endpoint; use
-    /// [`resolve_lenient`](Resolver::resolve_lenient) to collect partial
-    /// results instead.
+    /// Fails fast on the first unresolvable endpoint.
     pub fn resolve(&self, linkbase: &Linkbase) -> Result<Vec<ResolvedTraversal>, XLinkError> {
         let traversals = linkbase.expanded_traversals()?;
         let mut memo = EndpointMemo::default();
@@ -139,37 +121,6 @@ impl<'p, P: DocumentProvider + ?Sized> Resolver<'p, P> {
             });
         }
         Ok(out)
-    }
-
-    /// Like [`resolve`](Resolver::resolve), but skips failing traversals,
-    /// returning them separately. Mirrors how a user agent keeps working
-    /// when one link in a page is broken.
-    ///
-    /// # Errors
-    ///
-    /// Only arc-expansion errors (malformed linkbase) abort; per-traversal
-    /// resolution failures are returned in the second vector.
-    pub fn resolve_lenient(
-        &self,
-        linkbase: &Linkbase,
-    ) -> Result<(Vec<ResolvedTraversal>, Vec<XLinkError>), XLinkError> {
-        let mut memo = EndpointMemo::default();
-        let mut ok = Vec::new();
-        let mut failed = Vec::new();
-        for t in linkbase.expanded_traversals()? {
-            let resolved = self
-                .resolve_memoized(&t.from, &mut memo)
-                .and_then(|from| Ok((from, self.resolve_memoized(&t.to, &mut memo)?)));
-            match resolved {
-                Ok((from, to)) => ok.push(ResolvedTraversal {
-                    traversal: t.clone(),
-                    from,
-                    to,
-                }),
-                Err(e) => failed.push(e),
-            }
-        }
-        Ok((ok, failed))
     }
 
     /// [`resolve_endpoint`](Resolver::resolve_endpoint) through a per-call
@@ -191,6 +142,151 @@ impl<'p, P: DocumentProvider + ?Sized> Resolver<'p, P> {
 
 /// One resolution per distinct href within a single resolve call.
 type EndpointMemo<'t> = HashMap<&'t Href, Result<ResolvedEndpoint, XLinkError>>;
+
+/// The path of the document `href` looks up: the linkbase's own, for a
+/// same-document reference.
+fn target_path(href: &Href, linkbase_path: &Arc<str>) -> Arc<str> {
+    if href.is_same_document() {
+        Arc::clone(linkbase_path)
+    } else {
+        Arc::clone(href.shared_document())
+    }
+}
+
+/// The node `href`'s fragment selects in `doc` (its root when there is no
+/// fragment).
+fn select(doc: &Document, href: &Href) -> Result<NodeId, XLinkError> {
+    let selected = match href.fragment() {
+        Some(frag) => navsep_xpointer::resolve_first(doc, frag).map_err(|e| e.to_string()),
+        None => doc.require_root().map_err(|e| e.to_string()),
+    };
+    selected.map_err(|reason| XLinkError::PointerFailed {
+        href: href.to_string(),
+        reason,
+    })
+}
+
+/// Validation of one linkbase's locators that survives between calls:
+/// [`validate`](ResolutionMemo::validate) succeeds exactly when
+/// [`Resolver::resolve`] over the same linkbase would, and fails with the
+/// same first error, but re-resolves only the hrefs whose target document
+/// changed since it last looked.
+///
+/// Each distinct remote href keeps the outcome of its last resolution under
+/// the [`content_hash`](Document::content_hash) of the document it looked
+/// up (the linkbase's own document, for same-document references). A later
+/// call looks the document up again and compares hashes: equal content
+/// selects the same node, so only hrefs whose document now differs from the
+/// one they were last resolved in are resolved again. A missing document is
+/// an error on every call; it is never remembered.
+///
+/// # Examples
+///
+/// ```
+/// use navsep_xml::Document;
+/// use navsep_xlink::{Linkbase, ResolutionMemo, XLinkError};
+/// use std::collections::BTreeMap;
+///
+/// let links = Document::parse(r#"<links xmlns:xlink="http://www.w3.org/1999/xlink"
+///     xlink:type="extended">
+///   <l xlink:type="locator" xlink:label="a" xlink:href="a.xml"/>
+///   <l xlink:type="locator" xlink:label="b" xlink:href="b.xml#x"/>
+///   <go xlink:type="arc" xlink:from="a" xlink:to="b"/>
+/// </links>"#)?;
+/// let mut memo = ResolutionMemo::new(&Linkbase::from_document(&links, "links.xml")?);
+///
+/// let mut site = BTreeMap::new();
+/// site.insert("a.xml".to_string(), Document::parse("<a/>")?);
+/// site.insert("b.xml".to_string(), Document::parse(r#"<b><c id="x"/></b>"#)?);
+/// assert_eq!(memo.validate(&site), Ok(2)); // both hrefs resolved
+/// assert_eq!(memo.validate(&site), Ok(0)); // nothing changed
+///
+/// site.insert("b.xml".to_string(), Document::parse("<b/>")?);
+/// assert!(matches!(memo.validate(&site), Err(XLinkError::PointerFailed { .. })));
+/// # Ok::<(), Box<dyn std::error::Error>>(())
+/// ```
+#[derive(Debug)]
+pub struct ResolutionMemo {
+    /// The first arc-expansion error; it fails every call.
+    expansion_error: Option<XLinkError>,
+    /// Distinct remote hrefs in first-appearance order.
+    hrefs: Vec<MemoizedHref>,
+}
+
+/// One distinct remote href and what its last resolution found.
+#[derive(Debug)]
+struct MemoizedHref {
+    href: Href,
+    /// The path the href looks up.
+    document: Arc<str>,
+    /// The looked-up document's content hash, and the outcome there.
+    last: Option<(u64, Result<(), XLinkError>)>,
+}
+
+impl ResolutionMemo {
+    /// A memo for `linkbase`'s locators that has resolved none of them yet.
+    pub fn new(linkbase: &Linkbase) -> Self {
+        let (expansion_error, traversals) = match linkbase.expanded_traversals() {
+            Ok(traversals) => (None, traversals),
+            Err(e) => (Some(e), &[][..]),
+        };
+        let linkbase_path: Arc<str> = Arc::from(linkbase.path());
+        let mut seen = HashSet::new();
+        let hrefs = traversals
+            .iter()
+            .flat_map(|t| [&t.from, &t.to])
+            .filter_map(|ep| match ep {
+                Endpoint::Remote(href) => Some(href),
+                Endpoint::Local(_) => None,
+            })
+            .filter(|href| seen.insert(*href))
+            .map(|href| MemoizedHref {
+                href: href.clone(),
+                document: target_path(href, &linkbase_path),
+                last: None,
+            })
+            .collect();
+        ResolutionMemo {
+            expansion_error,
+            hrefs,
+        }
+    }
+
+    /// Checks every locator against `provider`, in the order
+    /// [`Resolver::resolve`] meets them, and returns how many hrefs had to
+    /// be resolved again (the others' documents were unchanged).
+    ///
+    /// # Errors
+    ///
+    /// The first error [`Resolver::resolve`] would return: an arc-expansion
+    /// error, [`XLinkError::UnknownDocument`] or
+    /// [`XLinkError::PointerFailed`].
+    pub fn validate<P: DocumentProvider + ?Sized>(
+        &mut self,
+        provider: &P,
+    ) -> Result<usize, XLinkError> {
+        if let Some(e) = &self.expansion_error {
+            return Err(e.clone());
+        }
+        let mut resolved = 0;
+        for entry in &mut self.hrefs {
+            let doc = provider
+                .document(&entry.document)
+                .ok_or_else(|| XLinkError::UnknownDocument(entry.document.to_string()))?;
+            let hash = doc.content_hash();
+            let outcome = match &entry.last {
+                Some((held, outcome)) if *held == hash => outcome,
+                _ => {
+                    resolved += 1;
+                    let outcome = select(doc, &entry.href).map(drop);
+                    &entry.last.insert((hash, outcome)).1
+                }
+            };
+            outcome.clone()?;
+        }
+        Ok(resolved)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -283,25 +379,6 @@ mod tests {
             resolver.resolve(&lb),
             Err(XLinkError::PointerFailed { .. })
         ));
-    }
-
-    #[test]
-    fn lenient_resolution_collects_failures() {
-        let docs = provider();
-        let doc = Document::parse(&format!(
-            r#"<links {XLINK} xlink:type="extended">
-  <l xlink:type="locator" xlink:label="good" xlink:href="picasso.xml"/>
-  <l xlink:type="locator" xlink:label="bad" xlink:href="ghost.xml"/>
-  <arc xlink:type="arc" xlink:from="good" xlink:to="good"/>
-  <arc xlink:type="arc" xlink:from="good" xlink:to="bad"/>
-</links>"#
-        ))
-        .unwrap();
-        let lb = Linkbase::from_document(&doc, "links.xml").unwrap();
-        let resolver = Resolver::new(&docs, "links.xml");
-        let (ok, failed) = resolver.resolve_lenient(&lb).unwrap();
-        assert_eq!(ok.len(), 1);
-        assert_eq!(failed.len(), 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests for XLink arc expansion and href resolution.
 
 use navsep_xlink::{
-    Endpoint, ExtendedLink, Href, Linkbase, ResolvedTraversal, Resolver, XLinkError,
+    Endpoint, ExtendedLink, Href, Linkbase, ResolutionMemo, ResolvedTraversal, Resolver, XLinkError,
 };
 use navsep_xml::Document;
 use proptest::prelude::*;
@@ -208,15 +208,33 @@ fn provider(
     links: &Document,
     with_linkbase: bool,
 ) -> BTreeMap<String, Document> {
+    provider_state(present.map(|p| p.then_some(0)), links, with_linkbase)
+}
+
+/// Like [`provider`], with each of `d0`–`d2` absent (`None`) or in one of
+/// two body variants. Variant 1 drops the id that variant 0 is there to
+/// supply (`d0.xml#i0`, `d1.xml#i1`, `d2.xml#i2`), so a fragment that
+/// selected something stops selecting it.
+fn provider_state(
+    state: [Option<usize>; 3],
+    links: &Document,
+    with_linkbase: bool,
+) -> BTreeMap<String, Document> {
     let bodies = [
-        r#"<doc><e id="i0"/><e id="i1"/></doc>"#,
-        r#"<doc><e id="i1"/><e id="i2"/></doc>"#,
-        r#"<doc><e id="i2"/></doc>"#,
+        [
+            r#"<doc><e id="i0"/><e id="i1"/></doc>"#,
+            r#"<doc><e id="i1"/></doc>"#,
+        ],
+        [
+            r#"<doc><e id="i1"/><e id="i2"/></doc>"#,
+            r#"<doc><e id="i2"/></doc>"#,
+        ],
+        [r#"<doc><e id="i2"/></doc>"#, r#"<doc><e id="i0"/></doc>"#],
     ];
     let mut docs = BTreeMap::new();
-    for (i, body) in bodies.iter().enumerate() {
-        if present[i] {
-            docs.insert(format!("d{i}.xml"), Document::parse(body).unwrap());
+    for (i, variant) in state.iter().enumerate() {
+        if let Some(v) = variant {
+            docs.insert(format!("d{i}.xml"), Document::parse(bodies[i][*v]).unwrap());
         }
     }
     if with_linkbase {
@@ -274,5 +292,32 @@ proptest! {
         let expected = naive_resolve(&resolver, &linkbase);
         prop_assert_eq!(resolver.resolve(&linkbase), expected.clone());
         prop_assert_eq!(resolver.resolve(&linkbase), expected);
+    }
+
+    /// Memo law: one long-lived [`ResolutionMemo`], validated after every
+    /// step of a random script of provider states, agrees with a fresh
+    /// `Resolver::resolve` at that step — `Ok`, or the same first error.
+    /// The states delete and restore documents, swap bodies for a variant
+    /// that drops an id a fragment names, and take the linkbase itself away
+    /// from same-document references. Every state is parsed afresh, so an
+    /// unchanged document is a new one with equal content.
+    #[test]
+    fn memoized_validation_equals_resolve(
+        links in proptest::collection::vec(link_spec(), 1..4),
+        script in proptest::collection::vec(
+            (0usize..3, 0usize..3, 0usize..3, 0usize..2),
+            1..8,
+        ),
+    ) {
+        let doc = linkbase_doc(&links);
+        let linkbase = Linkbase::from_document(&doc, "links.xml").unwrap();
+        let mut memo = ResolutionMemo::new(&linkbase);
+        let variant = |code: usize| code.checked_sub(1);
+        for (d0, d1, d2, with_linkbase) in script {
+            let state = [variant(d0), variant(d1), variant(d2)];
+            let docs = provider_state(state, &doc, with_linkbase == 1);
+            let expected = Resolver::new(&docs, "links.xml").resolve(&linkbase).map(|_| ());
+            prop_assert_eq!(memo.validate(&docs).map(|_| ()), expected);
+        }
     }
 }
